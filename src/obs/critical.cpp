@@ -3,42 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/text.hpp"
+
 namespace ps::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -72,16 +41,10 @@ std::string segment_kind(const SpanRecord& span) {
 CriticalPath CriticalPath::from_spans(std::vector<SpanRecord> spans) {
   CriticalPath cp;
   cp.spans_ = std::move(spans);
-  for (std::size_t i = 0; i < cp.spans_.size(); ++i) {
-    const TraceContext& ctx = cp.spans_[i].ctx;
-    if (!ctx.valid()) continue;
-    cp.by_id_.emplace(SpanKey{ctx.trace_hi, ctx.trace_lo, ctx.span_id}, i);
-    cp.children_[SpanKey{ctx.trace_hi, ctx.trace_lo, ctx.parent_span_id}]
-        .push_back(i);
-  }
+  cp.index_ = SpanIndex(cp.spans_);
   // Children sorted by start time (span id tie-breaks for determinism) so
   // the interval sweep visits them in causal order.
-  for (auto& [key, kids] : cp.children_) {
+  for (auto& [key, kids] : cp.index_.children) {
     std::sort(kids.begin(), kids.end(), [&](std::size_t a, std::size_t b) {
       const SpanRecord& sa = cp.spans_[a];
       const SpanRecord& sb = cp.spans_[b];
@@ -92,13 +55,13 @@ CriticalPath CriticalPath::from_spans(std::vector<SpanRecord> spans) {
     });
   }
   // A root is a span whose parent is absent: parent id 0 or a parent span
-  // that already rolled out of the buffer.
+  // that already rolled out of the buffer. Spans outside any trace have no
+  // root to explain.
   for (std::size_t i = 0; i < cp.spans_.size(); ++i) {
     const TraceContext& ctx = cp.spans_[i].ctx;
     if (!ctx.valid()) continue;
     if (ctx.parent_span_id != 0 &&
-        cp.by_id_.count(
-            SpanKey{ctx.trace_hi, ctx.trace_lo, ctx.parent_span_id}) > 0) {
+        cp.index_.by_id.contains(SpanIndex::key(ctx, ctx.parent_span_id))) {
       continue;
     }
     cp.reports_.push_back(cp.decompose(i));
@@ -124,8 +87,8 @@ std::vector<CriticalPathReport> CriticalPath::top(std::size_t n) const {
 std::optional<CriticalPathReport> CriticalPath::for_span(
     std::uint64_t trace_hi, std::uint64_t trace_lo, std::uint64_t span_id,
     bool require_root) const {
-  const auto it = by_id_.find(SpanKey{trace_hi, trace_lo, span_id});
-  if (it == by_id_.end()) return std::nullopt;
+  const auto it = index_.by_id.find({trace_hi, trace_lo, span_id});
+  if (it == index_.by_id.end()) return std::nullopt;
   if (require_root && spans_[it->second].ctx.parent_span_id != 0) {
     return std::nullopt;
   }
@@ -169,10 +132,10 @@ void CriticalPath::attribute(std::size_t idx, double lo, double hi,
   if (own.segment.empty()) own.segment = kind;
   ++own.spans;
 
-  const auto kids = children_.find(
-      SpanKey{span.ctx.trace_hi, span.ctx.trace_lo, span.ctx.span_id});
+  const auto kids =
+      index_.children.find(SpanIndex::key(span.ctx, span.ctx.span_id));
   double cursor = lo;
-  if (kids != children_.end()) {
+  if (kids != index_.children.end()) {
     for (const std::size_t child : kids->second) {
       const SpanRecord& c = spans_[child];
       const double clo = std::max(c.vtime_start, cursor);
@@ -229,20 +192,27 @@ std::string CriticalPath::json(
     out += ",\"wall_s\":" + fmt_double(r.wall_s);
     out += ",\"attributed_s\":" + fmt_double(r.attributed_s);
     out += ",\"span_count\":" + std::to_string(r.span_count);
-    out += ",\"segments\":[";
-    bool first_seg = true;
-    for (const SegmentShare& s : r.segments) {
-      if (!first_seg) out += ",";
-      first_seg = false;
-      out += "{\"segment\":\"";
-      json_escape_into(out, s.segment);
-      out += "\",\"vtime_s\":" + fmt_double(s.vtime_s);
-      out += ",\"spans\":" + std::to_string(s.spans) + "}";
-    }
-    out += "]}";
+    out += ",\"segments\":";
+    append_segments_json(out, r.segments);
+    out += "}";
   }
   out += "\n]}\n";
   return out;
+}
+
+void append_segments_json(std::string& out,
+                          const std::vector<SegmentShare>& segments) {
+  out += "[";
+  bool first = true;
+  for (const SegmentShare& s : segments) {
+    if (!first) out += ",";
+    first = false;
+    out += "{\"segment\":\"";
+    json_escape_into(out, s.segment);
+    out += "\",\"vtime_s\":" + fmt_double(s.vtime_s);
+    out += ",\"spans\":" + std::to_string(s.spans) + "}";
+  }
+  out += "]";
 }
 
 }  // namespace ps::obs

@@ -31,7 +31,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -47,6 +46,11 @@ struct SegmentShare {
   double vtime_s = 0.0;    // self-time credited to this segment
   std::uint64_t spans = 0; // spans whose self-time landed here
 };
+
+/// `[{"segment":..,"vtime_s":..,"spans":..},...]` — the segment list both
+/// CriticalPath::json() and bench artifacts embed.
+void append_segments_json(std::string& out,
+                          const std::vector<SegmentShare>& segments);
 
 /// One decomposed root: where its end-to-end window went.
 struct CriticalPathReport {
@@ -85,16 +89,13 @@ class CriticalPath {
   static std::string json(const std::vector<CriticalPathReport>& reports);
 
  private:
-  using SpanKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
-
   CriticalPathReport decompose(std::size_t root_idx) const;
   void attribute(std::size_t idx, double lo, double hi,
                  std::map<std::string, SegmentShare>& acc,
                  std::size_t& count) const;
 
   std::vector<SpanRecord> spans_;
-  std::map<SpanKey, std::size_t> by_id_;          // (hi, lo, span) -> index
-  std::map<SpanKey, std::vector<std::size_t>> children_;  // key by parent
+  SpanIndex index_;  // children sorted by vtime start
   std::vector<CriticalPathReport> reports_;
 };
 

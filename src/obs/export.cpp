@@ -3,49 +3,18 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/text.hpp"
 #include "obs/trace.hpp"
 
 namespace ps::obs {
 
 namespace {
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 // Microseconds with nanosecond resolution — the unit of trace-event ts/dur.
 std::string fmt_us(double seconds) {
@@ -109,18 +78,6 @@ void append_slice(std::string& out, bool& first, const SpanRecord& span,
     json_escape_into(out, span.subject);
   }
   out += "\"}}";
-}
-
-/// Prometheus metric name: `ps_` + name with every non-[a-zA-Z0-9_:] byte
-/// replaced by '_'.
-std::string prom_name(const std::string& name) {
-  std::string out = "ps_";
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
 }
 
 }  // namespace
@@ -194,74 +151,166 @@ bool write_perfetto_trace(const std::string& path) {
   return static_cast<bool>(file);
 }
 
-std::string prometheus_text(const MetricsRegistry& registry) {
-  std::string out;
+namespace {
+
+/// `{a,b}` over the non-empty label lists; empty when both are.
+std::string labels(const std::string& a, const std::string& b) {
+  if (a.empty() && b.empty()) return "";
+  return "{" + a + (a.empty() || b.empty() ? "" : ",") + b + "}";
+}
+
+void append_family(std::string& out, const std::string& prom,
+                   const std::string& help, const char* type) {
+  out += "# HELP " + prom + " " + help + "\n";
+  out += "# TYPE " + prom + " " + type + "\n";
+}
+
+/// Registry snapshots to expose, each with the label list its samples carry
+/// (empty for the local registry, `site="..."` per federated site).
+using Sources = std::vector<std::pair<std::string, const RegistrySnapshot*>>;
+
+/// Family-major exposition: each family's # HELP/# TYPE once (a family must
+/// not repeat), then one sample set per source holding the metric. `scope`
+/// ends every HELP text. A non-null `aggregate` names each gauge's
+/// GaugeAgg hint and adds its hint-honoring site="aggregate" sample — the
+/// one cross-site combination a scraper without the hint cannot compute.
+void append_exposition(std::string& out, const Sources& sources,
+                       const std::string& scope,
+                       const RegistrySnapshot* aggregate) {
+  std::map<std::string, GaugeAgg> gauge_names;
+  std::set<std::string> counter_names;
+  std::set<std::string> histogram_names;
+  for (const auto& [label, snap] : sources) {
+    for (const auto& [name, value] : snap->counters) counter_names.insert(name);
+    for (const auto& [name, gauge] : snap->gauges) {
+      gauge_names[name] = gauge.agg_hint();
+    }
+    for (const auto& [name, h] : snap->histograms) histogram_names.insert(name);
+  }
 
   // Conformance notes (also checked by tests/obs_test.cpp): every metric
   // family gets `# HELP` then `# TYPE`, counters carry the `_total` suffix,
   // and histograms expose cumulative `_bucket` counts ending in `+Inf`.
-  for (const auto& [name, value] : registry.counters()) {
+  for (const std::string& name : counter_names) {
     const std::string prom = prom_name(name) + "_total";
-    out += "# HELP " + prom + " Monotonic count of " + name + " events.\n";
-    out += "# TYPE " + prom + " counter\n";
-    out += prom + " " + std::to_string(value) + "\n";
-  }
-
-  for (const auto& [name, value] : registry.gauges()) {
-    const std::string prom = prom_name(name);
-    out += "# HELP " + prom + " Instantaneous value of " + name + ".\n";
-    out += "# TYPE " + prom + " gauge\n";
-    out += prom + " " + fmt_double(value) + "\n";
-  }
-
-  for (const std::string& name : registry.histogram_names()) {
-    const Histogram* h = registry.find_histogram(name);
-    if (h == nullptr) continue;
-    const std::string prom = prom_name(name) + "_seconds";
-    out += "# HELP " + prom + " Latency distribution of " + name +
-           " in seconds.\n";
-    out += "# TYPE " + prom + " histogram\n";
-    // Buckets with a trace-linked exemplar get the OpenMetrics-style
-    // annotation after the cumulative count; exemplar-free buckets (and
-    // whole histograms never observed under a span) are byte-identical to
-    // the pre-exemplar exposition.
-    std::map<double, Exemplar> exemplar_by_le;
-    for (const auto& [le, ex] : h->exemplars()) exemplar_by_le[le] = ex;
-    std::uint64_t cumulative = 0;
-    for (const auto& [le, n] : h->nonzero_buckets()) {
-      cumulative += n;
-      out += prom + "_bucket{le=\"" + fmt_double(le) +
-             "\"} " + std::to_string(cumulative);
-      const auto ex = exemplar_by_le.find(le);
-      if (ex != exemplar_by_le.end()) {
-        out += " # {trace_id=\"" +
-               prom_label_escape(ex->second.trace_id_hex()) +
-               "\",span_id=\"" + std::to_string(ex->second.span_id) +
-               "\"} " + fmt_double(ex->second.value_s) + " " +
-               fmt_double(ex->second.vtime_s);
-      }
-      out += "\n";
+    append_family(out, prom, "Monotonic count of " + name + " events" +
+                                 scope + ".", "counter");
+    for (const auto& [label, snap] : sources) {
+      const auto it = snap->counters.find(name);
+      if (it == snap->counters.end()) continue;
+      out += prom + labels(label, "") + " " + std::to_string(it->second) +
+             "\n";
     }
-    out += prom + "_bucket{le=\"+Inf\"} " + std::to_string(h->count()) + "\n";
-    out += prom + "_sum " + fmt_double(h->sum()) + "\n";
-    out += prom + "_count " + std::to_string(h->count()) + "\n";
+  }
+
+  for (const auto& [name, agg] : gauge_names) {
+    const std::string prom = prom_name(name);
+    const std::string hint =
+        aggregate == nullptr ? "" : " (agg=" + to_string(agg) + ")";
+    append_family(out, prom,
+                  "Instantaneous value of " + name + scope + hint + ".",
+                  "gauge");
+    for (const auto& [label, snap] : sources) {
+      const auto it = snap->gauges.find(name);
+      if (it == snap->gauges.end()) continue;
+      out += prom + labels(label, "") + " " + fmt_double(it->second.value) +
+             "\n";
+    }
+    if (aggregate == nullptr) continue;
+    const auto it = aggregate->gauges.find(name);
+    if (it != aggregate->gauges.end()) {
+      out += prom + "{site=\"aggregate\"} " + fmt_double(it->second.value) +
+             "\n";
+    }
+  }
+
+  const auto& bounds = Histogram::bounds();
+  for (const std::string& name : histogram_names) {
+    const std::string prom = prom_name(name) + "_seconds";
+    append_family(out, prom, "Latency distribution of " + name +
+                                 " in seconds" + scope + ".", "histogram");
+    for (const auto& [label, snap] : sources) {
+      const auto it = snap->histograms.find(name);
+      if (it == snap->histograms.end()) continue;
+      const HistogramSnapshot& h = it->second;
+      // Buckets with a trace-linked exemplar get the OpenMetrics-style
+      // annotation after the cumulative count.
+      std::map<std::uint32_t, const ExemplarSnapshot*> exemplar_by_bucket;
+      for (const ExemplarSnapshot& ex : h.exemplars) {
+        exemplar_by_bucket[ex.bucket] = &ex;
+      }
+      std::uint64_t cumulative = 0;
+      for (std::size_t i = 0; i < h.buckets.size() && i < bounds.size();
+           ++i) {
+        if (h.buckets[i] == 0) continue;
+        cumulative += h.buckets[i];
+        out += prom + "_bucket" +
+               labels(label, "le=\"" + fmt_double(bounds[i]) + "\"") + " " +
+               std::to_string(cumulative);
+        const auto ex = exemplar_by_bucket.find(static_cast<std::uint32_t>(i));
+        if (ex != exemplar_by_bucket.end()) {
+          const ExemplarSnapshot& witness = *ex->second;
+          out += " # {trace_id=\"" +
+                 prom_label_escape(witness.trace_id_hex()) + "\",span_id=\"" +
+                 std::to_string(witness.span_id) + "\"} " +
+                 fmt_double(witness.value_s) + " " +
+                 fmt_double(witness.vtime_s);
+        }
+        out += "\n";
+      }
+      out += prom + "_bucket" + labels(label, "le=\"+Inf\"") + " " +
+             std::to_string(h.count) + "\n";
+      out += prom + "_sum" + labels(label, "") + " " + fmt_double(h.sum_s()) +
+             "\n";
+      out += prom + "_count" + labels(label, "") + " " +
+             std::to_string(h.count) + "\n";
+    }
 
     // Companion summary family: precomputed tail quantiles (p50/p99/p999)
     // so scrapers and SLO dashboards need not reconstruct percentiles from
     // the log-spaced buckets. A distinct family name keeps both expositions
     // conformant (one # TYPE per family).
     const std::string summary = prom_name(name) + "_quantiles_seconds";
-    out += "# HELP " + summary + " Latency quantiles of " + name +
-           " in seconds.\n";
-    out += "# TYPE " + summary + " summary\n";
-    for (const double q : {0.5, 0.99, 0.999}) {
-      out += summary + "{quantile=\"" + fmt_double(q) + "\"} " +
-             fmt_double(h->quantile(q)) + "\n";
+    append_family(out, summary, "Latency quantiles of " + name +
+                                    " in seconds" + scope + ".", "summary");
+    for (const auto& [label, snap] : sources) {
+      const auto it = snap->histograms.find(name);
+      if (it == snap->histograms.end()) continue;
+      const HistogramSnapshot& h = it->second;
+      for (const double q : {0.5, 0.99, 0.999}) {
+        out += summary +
+               labels(label, "quantile=\"" + fmt_double(q) + "\"") + " " +
+               fmt_double(h.percentile(q * 100.0)) + "\n";
+      }
+      out += summary + "_sum" + labels(label, "") + " " +
+             fmt_double(h.sum_s()) + "\n";
+      out += summary + "_count" + labels(label, "") + " " +
+             std::to_string(h.count) + "\n";
     }
-    out += summary + "_sum " + fmt_double(h->sum()) + "\n";
-    out += summary + "_count " + std::to_string(h->count()) + "\n";
   }
+}
 
+}  // namespace
+
+std::string prometheus_text(const MetricsRegistry& registry) {
+  const RegistrySnapshot snap = registry.take_snapshot(0.0);
+  std::string out;
+  append_exposition(out, {{"", &snap}}, "", nullptr);
+  return out;
+}
+
+std::string federated_prometheus_text(
+    const std::map<std::string, RegistrySnapshot>& by_site) {
+  Sources sources;
+  std::vector<RegistrySnapshot> all;
+  for (const auto& [site, snap] : by_site) {
+    sources.emplace_back("site=\"" + prom_label_escape(site) + "\"", &snap);
+    all.push_back(snap);
+  }
+  const RegistrySnapshot aggregate = merge_registry_snapshots(all);
+  std::string out;
+  append_exposition(out, sources, " per site", &aggregate);
+  out += "# EOF\n";
   return out;
 }
 

@@ -7,40 +7,10 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/text.hpp"
 #include "sim/vtime.hpp"
 
 namespace ps::obs {
-
-namespace {
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 std::size_t approx_span_bytes(const SpanRecord& span) {
   return sizeof(SpanRecord) + span.name.size() + span.subject.size() +
@@ -62,27 +32,34 @@ FlightRecorder& FlightRecorder::global() {
 
 void FlightRecorder::record(const SpanRecord& span) {
   const std::size_t cost = approx_span_bytes(span);
-  std::size_t dropped = 0;
-  {
-    std::lock_guard lock(mu_);
-    ring_.push_back(span);
-    ring_bytes_ += cost;
-    while (ring_bytes_ > budget_ && ring_.size() > 1) {
-      ring_bytes_ -= approx_span_bytes(ring_.front());
-      ring_.pop_front();
-      ++dropped;
-    }
+  std::lock_guard lock(mu_);
+  ring_.push_back(span);
+  ring_bytes_ += cost;
+  trim();
+}
+
+void FlightRecorder::trim() {
+  std::uint64_t dropped = 0;
+  while (ring_bytes_ > budget_ && ring_.size() > 1) {
+    ring_bytes_ -= approx_span_bytes(ring_.front());
+    ring_.pop_front();
+    ++dropped;
   }
   if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
 }
 
-FlightRecorder::Snapshot FlightRecorder::snapshot(std::string reason) {
+FlightRecorder::Snapshot FlightRecorder::capture(std::string reason) const {
   Snapshot snap;
   snap.reason = std::move(reason);
   snap.wall_s = TraceRecorder::global().wall_now();
   snap.vtime_s = sim::vnow();
-  std::lock_guard lock(mu_);
   snap.spans.assign(ring_.begin(), ring_.end());
+  return snap;
+}
+
+FlightRecorder::Snapshot FlightRecorder::snapshot(std::string reason) {
+  std::lock_guard lock(mu_);
+  Snapshot snap = capture(std::move(reason));
   snapshots_.push_back(snap);
   while (snapshots_.size() > kMaxSnapshots) {
     snapshots_.erase(snapshots_.begin());
@@ -101,18 +78,10 @@ bool FlightRecorder::has_snapshot() const {
 }
 
 FlightRecorder::Snapshot FlightRecorder::latest_or_live() const {
-  {
-    std::lock_guard lock(mu_);
-    if (!snapshots_.empty()) return snapshots_.back();
-  }
-  // No anomaly recorded: capture the ring as it stands, without retaining.
-  Snapshot snap;
-  snap.reason = "live";
-  snap.wall_s = TraceRecorder::global().wall_now();
-  snap.vtime_s = sim::vnow();
   std::lock_guard lock(mu_);
-  snap.spans.assign(ring_.begin(), ring_.end());
-  return snap;
+  if (!snapshots_.empty()) return snapshots_.back();
+  // No anomaly recorded: capture the ring as it stands, without retaining.
+  return capture("live");
 }
 
 std::string FlightRecorder::dump_json(const Snapshot& snap) {
@@ -161,17 +130,9 @@ std::size_t FlightRecorder::budget() const {
 }
 
 void FlightRecorder::set_budget(std::size_t budget_bytes) {
-  std::size_t dropped = 0;
-  {
-    std::lock_guard lock(mu_);
-    budget_ = budget_bytes == 0 ? 1 : budget_bytes;
-    while (ring_bytes_ > budget_ && ring_.size() > 1) {
-      ring_bytes_ -= approx_span_bytes(ring_.front());
-      ring_.pop_front();
-      ++dropped;
-    }
-  }
-  if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
+  std::lock_guard lock(mu_);
+  budget_ = budget_bytes == 0 ? 1 : budget_bytes;
+  trim();
 }
 
 void FlightRecorder::clear() {

@@ -97,6 +97,11 @@ class FlightRecorder {
   void clear();
 
  private:
+  /// Both with mu_ held: evicts the oldest records past the budget (never
+  /// the newest), and copies the ring into a snapshot stamped now.
+  void trim();
+  Snapshot capture(std::string reason) const;
+
   mutable std::mutex mu_;
   std::deque<SpanRecord> ring_;
   std::size_t ring_bytes_ = 0;

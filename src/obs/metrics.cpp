@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/stats.hpp"
+#include "obs/text.hpp"
 #include "sim/vtime.hpp"
 
 namespace ps::obs {
@@ -20,57 +21,6 @@ std::array<double, Histogram::kBuckets> make_bounds() {
     bounds[i] = 1e-7 * std::pow(10.0, static_cast<double>(i + 1) / 4.0);
   }
   return bounds;
-}
-
-std::uint64_t to_ns(double seconds) {
-  if (seconds <= 0.0) return 0;
-  return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
-}
-
-std::string fmt_double(double v) {
-  char buf[32];
-  // Shortest form that survives a JSON round trip for our value range.
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string fmt_latency(double s) {
-  char buf[32];
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f s", s);
-  }
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -155,51 +105,58 @@ void Histogram::maybe_exemplar(std::size_t bucket, double seconds) {
   slot.vtime_s = sim::vnow();
 }
 
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  return sum() / static_cast<double>(n);
+HistogramSnapshot Histogram::snapshot() const {
+  HistogramSnapshot snap;
+  snap.count = count_.load(std::memory_order_relaxed);
+  snap.sum_ns = sum_ns_.load(std::memory_order_relaxed);
+  snap.min_ns = min_ns_.load(std::memory_order_relaxed);
+  snap.max_ns = max_ns_.load(std::memory_order_relaxed);
+  snap.buckets.resize(kBuckets);
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+  }
+  const std::uint64_t kept = std::min<std::uint64_t>(snap.count, kReservoir);
+  snap.reservoir.reserve(static_cast<std::size_t>(kept));
+  for (std::uint64_t i = 0; i < kept; ++i) {
+    snap.reservoir.push_back(reservoir_[i].load(std::memory_order_relaxed));
+  }
+  std::lock_guard lock(exemplar_mu_);
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    const Exemplar& ex = exemplar_slots_[i];
+    if (!ex.valid()) continue;
+    snap.exemplars.push_back(ExemplarSnapshot{static_cast<std::uint32_t>(i),
+                                              ex.value_s, ex.trace_hi,
+                                              ex.trace_lo, ex.span_id,
+                                              ex.vtime_s});
+  }
+  return snap;
 }
 
-double Histogram::min() const {
-  const std::uint64_t ns = min_ns_.load(std::memory_order_relaxed);
-  if (ns == UINT64_MAX) return 0.0;
-  return static_cast<double>(ns) * 1e-9;
-}
-
-double Histogram::max() const {
-  return static_cast<double>(max_ns_.load(std::memory_order_relaxed)) * 1e-9;
-}
-
-double Histogram::percentile(double p) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  if (n <= kReservoir) {
+double HistogramSnapshot::percentile(double p) const {
+  if (count == 0) return 0.0;
+  if (count <= Histogram::kReservoir && reservoir.size() == count) {
     // Exact path: the whole series is in the reservoir.
     Stats stats;
-    stats.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      stats.add(reservoir_[i].load(std::memory_order_relaxed));
-    }
+    stats.reserve(reservoir.size());
+    for (const double s : reservoir) stats.add(s);
     return stats.percentile(p);
   }
   // Interpolated path: walk the cumulative bucket counts.
-  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  const auto& bounds = Histogram::bounds();
+  const double rank = p / 100.0 * static_cast<double>(count - 1);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t in_bucket =
-        buckets_[i].load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < buckets.size() && i < bounds.size(); ++i) {
+    const std::uint64_t in_bucket = buckets[i];
     if (in_bucket == 0) continue;
     if (static_cast<double>(cumulative + in_bucket) > rank) {
-      const double lower = i == 0 ? 0.0 : bounds()[i - 1];
-      const double upper = bounds()[i];
+      const double lower = i == 0 ? 0.0 : bounds[i - 1];
       const double frac = (rank - static_cast<double>(cumulative)) /
                           static_cast<double>(in_bucket);
-      return lower + (upper - lower) * frac;
+      return lower + (bounds[i] - lower) * frac;
     }
     cumulative += in_bucket;
   }
-  return max();
+  return max_s();
 }
 
 std::vector<std::pair<double, std::uint64_t>> Histogram::nonzero_buckets()
@@ -208,28 +165,6 @@ std::vector<std::pair<double, std::uint64_t>> Histogram::nonzero_buckets()
   for (std::size_t i = 0; i < kBuckets; ++i) {
     const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
     if (n > 0) out.emplace_back(bounds()[i], n);
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(kBuckets);
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::vector<double> Histogram::reservoir_values() const {
-  // Exact when the registry is quiescent (the deterministic benches). A
-  // scrape racing a writer may see a claimed-but-unwritten slot as 0.0 —
-  // never a torn value, and the windowing layer clamps rather than trusts
-  // cross-snapshot invariants, so racing scrapes degrade gracefully.
-  const std::uint64_t n = std::min<std::uint64_t>(count(), kReservoir);
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(reservoir_[i].load(std::memory_order_relaxed));
   }
   return out;
 }
@@ -315,31 +250,6 @@ std::map<std::string, std::uint64_t> MetricsRegistry::counters() const {
   return out;
 }
 
-std::map<std::string, double> MetricsRegistry::gauges() const {
-  std::lock_guard lock(mu_);
-  std::map<std::string, double> out;
-  for (const auto& [name, gauge] : gauges_) out[name] = gauge->value();
-  return out;
-}
-
-std::map<std::string, std::pair<double, GaugeAgg>>
-MetricsRegistry::gauges_with_agg() const {
-  std::lock_guard lock(mu_);
-  std::map<std::string, std::pair<double, GaugeAgg>> out;
-  for (const auto& [name, gauge] : gauges_) {
-    out[name] = {gauge->value(), gauge->agg()};
-  }
-  return out;
-}
-
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) out.push_back(name);
-  return out;
-}
-
 const Histogram* MetricsRegistry::find_histogram(
     const std::string& name) const {
   std::lock_guard lock(mu_);
@@ -361,61 +271,49 @@ std::string MetricsRegistry::dump_json() const {
     first_bound = false;
     out += fmt_double(bound);
   }
-  out += "],\"counters\":{";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    json_escape_into(out, name);
-    out += "\":" + std::to_string(counter->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    json_escape_into(out, name);
-    out += "\":" + fmt_double(gauge->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    json_escape_into(out, name);
-    out += "\":{\"count\":" + std::to_string(hist->count());
-    out += ",\"sum_s\":" + fmt_double(hist->sum());
-    out += ",\"mean_s\":" + fmt_double(hist->mean());
-    out += ",\"min_s\":" + fmt_double(hist->min());
-    out += ",\"max_s\":" + fmt_double(hist->max());
-    out += ",\"p50_s\":" + fmt_double(hist->p50());
-    out += ",\"p95_s\":" + fmt_double(hist->p95());
-    out += ",\"p99_s\":" + fmt_double(hist->p99());
-    out += ",\"p999_s\":" + fmt_double(hist->p999());
+  out += "],\"counters\":";
+  append_json_object(out, counters_, [&](const auto& counter) {
+    out += std::to_string(counter->value());
+  });
+  out += ",\"gauges\":";
+  append_json_object(out, gauges_, [&](const auto& gauge) {
+    out += fmt_double(gauge->value());
+  });
+  out += ",\"histograms\":";
+  append_json_object(out, histograms_, [&](const auto& hist) {
+    const HistogramSnapshot h = hist->snapshot();
+    out += "{\"count\":" + std::to_string(h.count);
+    out += ",\"sum_s\":" + fmt_double(h.sum_s());
+    out += ",\"mean_s\":" + fmt_double(h.mean_s());
+    out += ",\"min_s\":" + fmt_double(h.min_s());
+    out += ",\"max_s\":" + fmt_double(h.max_s());
+    out += ",\"p50_s\":" + fmt_double(h.p50());
+    out += ",\"p95_s\":" + fmt_double(h.p95());
+    out += ",\"p99_s\":" + fmt_double(h.p99());
+    out += ",\"p999_s\":" + fmt_double(h.p999());
     out += ",\"buckets\":[";
     bool first_bucket = true;
-    for (const auto& [le, n] : hist->nonzero_buckets()) {
+    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+      if (h.buckets[i] == 0) continue;
       if (!first_bucket) out += ",";
       first_bucket = false;
-      out += "[" + fmt_double(le) + "," + std::to_string(n) + "]";
+      out += "[" + fmt_double(Histogram::bounds()[i]) + "," +
+             std::to_string(h.buckets[i]) + "]";
     }
     out += "],\"exemplars\":[";
     bool first_exemplar = true;
-    for (const auto& [le, ex] : hist->exemplars()) {
+    for (const ExemplarSnapshot& ex : h.exemplars) {
       if (!first_exemplar) out += ",";
       first_exemplar = false;
-      out += "{\"le\":" + fmt_double(le);
+      out += "{\"le\":" + fmt_double(Histogram::bounds()[ex.bucket]);
       out += ",\"value_s\":" + fmt_double(ex.value_s);
       out += ",\"trace_id\":\"" + ex.trace_id_hex() + "\"";
       out += ",\"span_id\":" + std::to_string(ex.span_id);
       out += ",\"vtime_s\":" + fmt_double(ex.vtime_s) + "}";
     }
     out += "]}";
-  }
-  out += "}}";
+  });
+  out += "}";
   return out;
 }
 
@@ -445,14 +343,14 @@ std::string MetricsRegistry::dump_table() const {
                   "name", "count", "mean", "p50", "p95", "p99", "max");
     out += line;
     for (const auto& [name, hist] : histograms_) {
+      const HistogramSnapshot h = hist->snapshot();
       std::snprintf(line, sizeof(line),
                     "%-44s %8llu %10s %10s %10s %10s %10s\n", name.c_str(),
-                    static_cast<unsigned long long>(hist->count()),
-                    fmt_latency(hist->mean()).c_str(),
-                    fmt_latency(hist->p50()).c_str(),
-                    fmt_latency(hist->p95()).c_str(),
-                    fmt_latency(hist->p99()).c_str(),
-                    fmt_latency(hist->max()).c_str());
+                    static_cast<unsigned long long>(h.count),
+                    fmt_latency(h.mean_s()).c_str(),
+                    fmt_latency(h.p50()).c_str(), fmt_latency(h.p95()).c_str(),
+                    fmt_latency(h.p99()).c_str(),
+                    fmt_latency(h.max_s()).c_str());
       out += line;
     }
   }

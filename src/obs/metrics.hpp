@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -101,13 +102,85 @@ struct Exemplar {
   }
 };
 
+/// One bucket's trace-linked tail witness in wire form (bucket is the raw
+/// index into Histogram::bounds()). Cumulative, like the exemplar it copies:
+/// window deltas carry the best witness so far, and merges keep the
+/// max-value witness per bucket.
+struct ExemplarSnapshot {
+  std::uint32_t bucket = 0;
+  double value_s = 0.0;
+  std::uint64_t trace_hi = 0;
+  std::uint64_t trace_lo = 0;
+  std::uint64_t span_id = 0;
+  double vtime_s = 0.0;
+
+  std::string trace_id_hex() const {
+    return TraceContext{trace_hi, trace_lo, span_id, 0}.trace_id_hex();
+  }
+  auto serde_members() {
+    return std::tie(bucket, value_s, trace_hi, trace_lo, span_id, vtime_s);
+  }
+  auto serde_members() const {
+    return std::tie(bucket, value_s, trace_hi, trace_lo, span_id, vtime_s);
+  }
+};
+
+/// Value copy of one Histogram: the full bucket array (index-aligned with
+/// Histogram::bounds()), the raw-sample reservoir prefix, and the integer
+/// sum/min/max the atomics maintain. The one home of the histogram read
+/// math: Histogram's accessors, every exporter and the telemetry plane all
+/// compute mean/min/max/percentiles here.
+struct HistogramSnapshot {
+  std::uint64_t count = 0;
+  std::uint64_t sum_ns = 0;
+  std::uint64_t min_ns = UINT64_MAX;
+  std::uint64_t max_ns = 0;
+  std::vector<std::uint64_t> buckets;  // Histogram::kBuckets entries
+  std::vector<double> reservoir;       // first min(count, kReservoir) samples
+  std::vector<ExemplarSnapshot> exemplars;
+
+  auto serde_members() {
+    return std::tie(count, sum_ns, min_ns, max_ns, buckets, reservoir,
+                    exemplars);
+  }
+  auto serde_members() const {
+    return std::tie(count, sum_ns, min_ns, max_ns, buckets, reservoir,
+                    exemplars);
+  }
+
+  double sum_s() const { return static_cast<double>(sum_ns) * 1e-9; }
+  double mean_s() const {
+    return count == 0 ? 0.0 : sum_s() / static_cast<double>(count);
+  }
+  double min_s() const {
+    return min_ns == UINT64_MAX ? 0.0 : static_cast<double>(min_ns) * 1e-9;
+  }
+  double max_s() const { return static_cast<double>(max_ns) * 1e-9; }
+
+  /// p in [0, 100]. Exact (through ps::Stats) while the reservoir holds the
+  /// whole series, else linearly interpolated within the bucket the rank
+  /// falls in.
+  double percentile(double p) const;
+  double p50() const { return percentile(50.0); }
+  double p95() const { return percentile(95.0); }
+  double p99() const { return percentile(99.0); }
+  double p999() const { return percentile(99.9); }
+
+  /// Accumulates `other` into this snapshot: counts/sums/buckets add,
+  /// min/max widen, reservoirs concatenate (capped at Histogram::kReservoir
+  /// — append windows in chronological order and the result is exactly the
+  /// whole-run sample prefix), exemplars keep the max witness per bucket.
+  void merge(const HistogramSnapshot& other);
+};
+
 /// Fixed-bucket latency histogram over seconds.
 ///
 /// Buckets are log-spaced upper bounds from 100 ns to 1000 s (four per
 /// decade); values past the last bound land in the final bucket. All updates
 /// are relaxed atomics. The first kReservoir raw samples are additionally
-/// retained so percentiles over short series are exact (computed through
-/// ps::Stats); longer series fall back to within-bucket linear interpolation.
+/// retained so percentiles over short series are exact; longer series fall
+/// back to within-bucket linear interpolation (see HistogramSnapshot, which
+/// every read accessor goes through).
 ///
 /// Each bucket also keeps one Exemplar — the max value observed in that
 /// bucket under an active trace context (max-value-wins replacement). The
@@ -139,13 +212,18 @@ class Histogram {
   double sum() const {
     return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) * 1e-9;
   }
-  double mean() const;
-  double min() const;
-  double max() const;
 
+  /// Value copy of the whole state. Exact when the histogram is quiescent
+  /// (the deterministic benches); a snapshot racing a writer may see a
+  /// claimed-but-unwritten reservoir slot as 0.0 — never a torn value.
+  HistogramSnapshot snapshot() const;
+
+  double mean() const { return snapshot().mean_s(); }
+  double min() const { return snapshot().min_s(); }
+  double max() const { return snapshot().max_s(); }
   /// p in [0, 100]. Exact while count() <= kReservoir, else interpolated
   /// from bucket boundaries.
-  double percentile(double p) const;
+  double percentile(double p) const { return snapshot().percentile(p); }
   /// quantile(q) == percentile(100 q); q in [0, 1]. The form SLO
   /// objectives and the Prometheus summary exposition speak.
   double quantile(double q) const { return percentile(q * 100.0); }
@@ -156,27 +234,6 @@ class Histogram {
 
   /// (upper_bound, count) for buckets with at least one sample.
   std::vector<std::pair<double, std::uint64_t>> nonzero_buckets() const;
-
-  /// All kBuckets per-bucket counts (including zeros), index-aligned with
-  /// bounds() — the raw material HistogramSnapshot captures.
-  std::vector<std::uint64_t> bucket_counts() const;
-
-  /// The retained raw-sample prefix: min(count(), kReservoir) values in
-  /// observation order. Exact while the series fits the reservoir.
-  std::vector<double> reservoir_values() const;
-
-  /// Raw sum in nanoseconds (the unit the atomics accumulate in). Snapshot
-  /// deltas subtract in this integer domain so windows recompose the
-  /// whole-run sum without floating-point drift.
-  std::uint64_t sum_ns() const {
-    return sum_ns_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t min_ns() const {
-    return min_ns_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t max_ns() const {
-    return max_ns_.load(std::memory_order_relaxed);
-  }
 
   /// (bucket upper bound, exemplar) for buckets holding a valid exemplar.
   std::vector<std::pair<double, Exemplar>> exemplars() const;
@@ -223,12 +280,9 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name, GaugeAgg agg);
   Histogram& histogram(const std::string& name);
 
-  /// Snapshots for export and tests.
+  /// Counter values for export and tests (take_snapshot() copies
+  /// everything).
   std::map<std::string, std::uint64_t> counters() const;
-  std::map<std::string, double> gauges() const;
-  /// Gauge values together with their aggregation hints.
-  std::map<std::string, std::pair<double, GaugeAgg>> gauges_with_agg() const;
-  std::vector<std::string> histogram_names() const;
   const Histogram* find_histogram(const std::string& name) const;
 
   /// Machine-readable export: {"schema_version": 3,
@@ -246,8 +300,8 @@ class MetricsRegistry {
   void reset();
 
   /// Deep value copy of every metric at one instant, stamped with the
-  /// scraper's virtual time. Defined in obs/telemetry.cpp (which owns the
-  /// snapshot data model).
+  /// scraper's virtual time (the RegistrySnapshot model lives in
+  /// obs/telemetry.hpp).
   RegistrySnapshot take_snapshot(double vtime_s) const;
 
  private:

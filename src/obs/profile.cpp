@@ -4,20 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <tuple>
 #include <utility>
+
+#include "obs/text.hpp"
 
 namespace ps::obs {
 
 namespace {
-
-/// A span id qualified by its trace: span ids are process-wide sequential,
-/// but defensively never merge spans across distinct traces.
-using SpanKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
-
-SpanKey key_of(const TraceContext& ctx, std::uint64_t span_id) {
-  return {ctx.trace_hi, ctx.trace_lo, span_id};
-}
 
 /// Mutable aggregation node; converted to the public ProfileNode at the end.
 struct Builder {
@@ -55,33 +48,6 @@ ProfileNode finish(const std::string& name, const Builder& b) {
   return node;
 }
 
-std::string fmt_time(double s) {
-  char buf[32];
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f s", s);
-  }
-  return buf;
-}
-
-void append_folded(std::string& out, const std::string& prefix,
-                   const ProfileNode& node, bool vtime) {
-  const std::string path =
-      prefix.empty() ? node.name : prefix + ";" + node.name;
-  const double self = vtime ? node.self_vtime_s : node.self_wall_s;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %llu\n",
-                static_cast<unsigned long long>(std::llround(self * 1e9)));
-  out += path;
-  out += buf;
-  for (const ProfileNode& child : node.children) {
-    append_folded(out, path, child, vtime);
-  }
-}
-
 void append_table(std::string& out, const ProfileNode& node, int depth) {
   char line[256];
   std::string label(static_cast<std::size_t>(depth) * 2, ' ');
@@ -89,10 +55,10 @@ void append_table(std::string& out, const ProfileNode& node, int depth) {
   if (label.size() > 44) label.resize(44);
   std::snprintf(line, sizeof(line), "%-44s %8llu %11s %11s %11s %11s\n",
                 label.c_str(), static_cast<unsigned long long>(node.count),
-                fmt_time(node.total_vtime_s).c_str(),
-                fmt_time(node.self_vtime_s).c_str(),
-                fmt_time(node.total_wall_s).c_str(),
-                fmt_time(node.self_wall_s).c_str());
+                fmt_latency(node.total_vtime_s).c_str(),
+                fmt_latency(node.self_vtime_s).c_str(),
+                fmt_latency(node.total_wall_s).c_str(),
+                fmt_latency(node.self_wall_s).c_str());
   out += line;
   for (const ProfileNode& child : node.children) {
     append_table(out, child, depth + 1);
@@ -110,28 +76,19 @@ void collect_entries(const ProfileNode& node, const std::string& prefix,
   }
 }
 
+/// Every node flattened with its full path, in tree (pre-)order.
+std::vector<ProfileEntry> flatten(const std::vector<ProfileNode>& roots) {
+  std::vector<ProfileEntry> entries;
+  for (const ProfileNode& root : roots) collect_entries(root, "", entries);
+  return entries;
+}
+
 }  // namespace
 
 Profile Profile::from_spans(const std::vector<SpanRecord>& spans) {
   // Resolve each span's name path by walking recorded parents, then merge
   // paths into a trie of Builders.
-  std::map<SpanKey, const SpanRecord*> by_id;
-  for (const SpanRecord& span : spans) {
-    by_id.emplace(key_of(span.ctx, span.ctx.span_id), &span);
-  }
-
-  // Per-span child durations (children that were actually recorded), to
-  // compute per-span self time before aggregation.
-  std::map<SpanKey, double> child_wall;
-  std::map<SpanKey, double> child_vtime;
-  for (const SpanRecord& span : spans) {
-    const auto parent = by_id.find(key_of(span.ctx, span.ctx.parent_span_id));
-    if (parent == by_id.end()) continue;
-    const SpanKey pk = key_of(span.ctx, span.ctx.parent_span_id);
-    child_wall[pk] += span.wall_end - span.wall_start;
-    child_vtime[pk] += span.vtime_end - span.vtime_start;
-  }
-
+  const SpanIndex index(spans);
   std::map<std::string, Builder> roots;
   std::vector<const SpanRecord*> chain;
   for (const SpanRecord& span : spans) {
@@ -141,9 +98,9 @@ Profile Profile::from_spans(const std::vector<SpanRecord>& spans) {
     const SpanRecord* cursor = &span;
     while (cursor != nullptr && chain.size() < 512) {
       chain.push_back(cursor);
-      const auto parent =
-          by_id.find(key_of(cursor->ctx, cursor->ctx.parent_span_id));
-      cursor = parent == by_id.end() ? nullptr : parent->second;
+      const auto parent = index.by_id.find(
+          SpanIndex::key(cursor->ctx, cursor->ctx.parent_span_id));
+      cursor = parent == index.by_id.end() ? nullptr : &spans[parent->second];
     }
 
     std::map<std::string, Builder>* level = &roots;
@@ -154,18 +111,25 @@ Profile Profile::from_spans(const std::vector<SpanRecord>& spans) {
       level = &node->children;
     }
 
+    // Self time subtracts the recorded children, clamped at zero for
+    // overlapping/async children.
     const double wall = span.wall_end - span.wall_start;
     const double vtime = span.vtime_end - span.vtime_start;
-    const SpanKey sk = key_of(span.ctx, span.ctx.span_id);
-    const auto cw = child_wall.find(sk);
-    const auto cv = child_vtime.find(sk);
+    double child_wall = 0.0;
+    double child_vtime = 0.0;
+    const auto kids =
+        index.children.find(SpanIndex::key(span.ctx, span.ctx.span_id));
+    if (kids != index.children.end()) {
+      for (const std::size_t child : kids->second) {
+        child_wall += spans[child].wall_end - spans[child].wall_start;
+        child_vtime += spans[child].vtime_end - spans[child].vtime_start;
+      }
+    }
     node->count += 1;
     node->total_wall += wall;
     node->total_vtime += vtime;
-    node->self_wall +=
-        std::max(0.0, wall - (cw == child_wall.end() ? 0.0 : cw->second));
-    node->self_vtime +=
-        std::max(0.0, vtime - (cv == child_vtime.end() ? 0.0 : cv->second));
+    node->self_wall += std::max(0.0, wall - child_wall);
+    node->self_vtime += std::max(0.0, vtime - child_vtime);
   }
 
   Profile profile;
@@ -201,15 +165,18 @@ double Profile::total_wall_s() const {
 
 std::string Profile::folded(bool vtime) const {
   std::string out;
-  for (const ProfileNode& root : roots_) {
-    append_folded(out, "", root, vtime);
+  char buf[32];
+  for (const ProfileEntry& e : flatten(roots_)) {
+    const double self = vtime ? e.self_vtime_s : e.self_wall_s;
+    std::snprintf(buf, sizeof(buf), " %llu\n",
+                  static_cast<unsigned long long>(std::llround(self * 1e9)));
+    out += e.path + buf;
   }
   return out;
 }
 
 std::vector<ProfileEntry> Profile::top_nodes(std::size_t n) const {
-  std::vector<ProfileEntry> entries;
-  for (const ProfileNode& root : roots_) collect_entries(root, "", entries);
+  std::vector<ProfileEntry> entries = flatten(roots_);
   std::sort(entries.begin(), entries.end(),
             [](const ProfileEntry& a, const ProfileEntry& b) {
               if (a.self_vtime_s != b.self_vtime_s) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -13,48 +14,16 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
+#include "obs/text.hpp"
 #include "obs/trace.hpp"
 
 namespace ps::obs {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 // ------------------------------------------------- minimal JSON reader ----
 // Just enough JSON for the artifacts this module itself writes: objects,
-// arrays, strings with simple escapes, and numbers.
+// arrays, strings with the escapes json_escape_into() emits, and numbers.
 
 struct JsonValue {
   std::variant<std::nullptr_t, double, std::string,
@@ -136,12 +105,34 @@ class JsonReader {
     return parse_number();
   }
 
+  /// Decodes exactly the escapes json_escape_into() emits: \" \\ \n \t and
+  /// \u00XX for the other control bytes.
   std::optional<std::string> parse_string() {
     if (!expect('"')) return std::nullopt;
     std::string out;
     while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-      out += text_[pos_++];
+      if (text_[pos_] != '\\') {
+        out += text_[pos_++];
+        continue;
+      }
+      const char esc = pos_ + 1 < text_.size() ? text_[pos_ + 1] : '\0';
+      pos_ += 2;
+      const char* hex = text_.data() + std::min(pos_, text_.size());
+      unsigned code = 0;
+      if (esc == '"' || esc == '\\') {
+        out += esc;
+      } else if (esc == 'n' || esc == 't') {
+        out += esc == 'n' ? '\n' : '\t';
+      } else if (esc == 'u' && pos_ + 4 <= text_.size() &&
+                 std::from_chars(hex, hex + 4, code, 16).ptr == hex + 4 &&
+                 code < 0x80) {
+        out += static_cast<char>(code);
+        pos_ += 4;
+      } else {
+        pos_ -= 2;
+        fail("unsupported string escape");
+        return std::nullopt;
+      }
     }
     if (!expect('"')) return std::nullopt;
     return out;
@@ -159,12 +150,18 @@ class JsonReader {
       fail("expected a JSON number");
       return std::nullopt;
     }
+    // std::stod stops at the first byte it cannot use ("1-2" reads as 1);
+    // the whole token must be the number.
+    const std::string token = text_.substr(start, pos_ - start);
+    std::size_t used = 0;
     try {
-      return JsonValue{std::stod(text_.substr(start, pos_ - start))};
+      const double value = std::stod(token, &used);
+      if (used == token.size()) return JsonValue{value};
     } catch (const std::exception&) {
-      fail("unparsable number");
-      return std::nullopt;
     }
+    pos_ = start;
+    fail("unparsable number '" + token + "'");
+    return std::nullopt;
   }
 
   std::optional<JsonValue> parse_object() {
@@ -268,20 +265,21 @@ BenchArtifact collect_bench_artifact(
   std::optional<CriticalPath> recorded_paths;
   std::optional<CriticalPath> flight_paths;
   for (const auto& [name, meta] : series_meta) {
-    const Histogram* h = registry.find_histogram(name);
-    if (h == nullptr || h->count() == 0) continue;
+    const Histogram* hist = registry.find_histogram(name);
+    if (hist == nullptr || hist->count() == 0) continue;
+    const HistogramSnapshot h = hist->snapshot();
     SeriesStats stats;
-    stats.count = h->count();
-    stats.mean_s = h->mean();
-    stats.p50_s = h->p50();
-    stats.p99_s = h->p99();
-    stats.p999_s = h->p999();
-    stats.min_s = h->min();
-    stats.max_s = h->max();
-    stats.sum_s = h->sum();
+    stats.count = h.count;
+    stats.mean_s = h.mean_s();
+    stats.p50_s = h.p50();
+    stats.p99_s = h.p99();
+    stats.p999_s = h.p999();
+    stats.min_s = h.min_s();
+    stats.max_s = h.max_s();
+    stats.sum_s = h.sum_s();
     stats.units = meta.units;
     stats.kind = meta.kind;
-    const Exemplar exemplar = h->max_exemplar();
+    const Exemplar exemplar = hist->max_exemplar();
     if (exemplar.valid()) {
       if (!recorded_paths) {
         recorded_paths = CriticalPath::from_recorder(TraceRecorder::global());
@@ -313,16 +311,7 @@ BenchArtifact collect_bench_artifact(
   }
   const SloReport slo_report = SloRegistry::global().evaluate(registry);
   for (const SloVerdict& v : slo_report.verdicts) {
-    SloResult result;
-    result.name = v.objective.name;
-    result.metric = v.objective.metric;
-    result.percentile = v.objective.percentile;
-    result.threshold_s = v.objective.threshold_s;
-    result.min_samples = v.objective.min_samples;
-    result.status = to_string(v.status);
-    result.observed_s = v.observed_s;
-    result.samples = v.samples;
-    artifact.slos.push_back(std::move(result));
+    artifact.slos.push_back(to_result(v));
   }
   artifact.profile_top =
       Profile::from_recorder(TraceRecorder::global()).top_nodes(profile_top_n);
@@ -364,17 +353,9 @@ std::string bench_artifact_json(const BenchArtifact& artifact) {
       out += "\",\"span_id\":" + std::to_string(a.span_id);
       out += ",\"sample_s\":" + fmt_double(a.sample_s);
       out += ",\"attributed_s\":" + fmt_double(a.attributed_s);
-      out += ",\"segments\":[";
-      bool first_seg = true;
-      for (const SegmentShare& seg : a.segments) {
-        if (!first_seg) out += ",";
-        first_seg = false;
-        out += "{\"segment\":\"";
-        json_escape_into(out, seg.segment);
-        out += "\",\"vtime_s\":" + fmt_double(seg.vtime_s);
-        out += ",\"spans\":" + std::to_string(seg.spans) + "}";
-      }
-      out += "]}";
+      out += ",\"segments\":";
+      append_segments_json(out, a.segments);
+      out += "}";
     }
     out += "}";
   }
@@ -383,19 +364,8 @@ std::string bench_artifact_json(const BenchArtifact& artifact) {
   for (const SloResult& slo : artifact.slos) {
     if (!first) out += ",";
     first = false;
-    out += "\n  {\"name\":\"";
-    json_escape_into(out, slo.name);
-    out += "\",\"metric\":\"";
-    json_escape_into(out, slo.metric);
-    out += "\",\"percentile\":\"";
-    json_escape_into(out, slo.percentile);
-    out += "\",\"threshold_s\":" + fmt_double(slo.threshold_s);
-    out += ",\"min_samples\":" + std::to_string(slo.min_samples);
-    out += ",\"status\":\"";
-    json_escape_into(out, slo.status);
-    out += "\",\"observed_s\":" + fmt_double(slo.observed_s);
-    out += ",\"samples\":" + std::to_string(slo.samples);
-    out += "}";
+    out += "\n  ";
+    append_slo_json(out, slo);
   }
   out += "\n ],\"profile_top\":[";
   first = true;
@@ -439,11 +409,9 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
   }
   BenchArtifact artifact;
   artifact.schema_version = static_cast<int>(version->second.num());
-  // v1 artifacts (no p999 column, no SLO section) are still readable so a
-  // schema bump never orphans blessed baselines mid-transition; anything
-  // newer than this build is rejected.
-  if (artifact.schema_version < 1 ||
-      artifact.schema_version > kBenchSchemaVersion) {
+  // Only the current schema parses: older artifacts must be re-blessed,
+  // newer ones come from a build this one cannot judge.
+  if (artifact.schema_version != kBenchSchemaVersion) {
     schema_error(error, "unsupported schema_version " +
                             std::to_string(artifact.schema_version));
     return std::nullopt;
@@ -486,9 +454,7 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
     stats.mean_s = mean->second.num();
     stats.p50_s = num_or(s, "p50_s", stats.mean_s);
     stats.p99_s = num_or(s, "p99_s", stats.mean_s);
-    // v1 artifacts have no p999 column; the p99 value keeps vtime diffs
-    // against them meaningful without inventing a tail.
-    stats.p999_s = num_or(s, "p999_s", stats.p99_s);
+    stats.p999_s = num_or(s, "p999_s", stats.mean_s);
     stats.min_s = num_or(s, "min_s", stats.mean_s);
     stats.max_s = num_or(s, "max_s", stats.mean_s);
     stats.sum_s = num_or(s, "sum_s", 0.0);
@@ -499,8 +465,8 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
                               stats.kind + "'");
       return std::nullopt;
     }
-    // Optional (v3) attribution: validated when present, never required —
-    // v1/v2 artifacts and exemplar-free v3 series simply lack it.
+    // Optional attribution: validated when present, never required —
+    // exemplar-free series simply lack it.
     const auto attribution = s.find("attribution");
     if (attribution != s.end()) {
       if (!attribution->second.is_object()) {
@@ -546,40 +512,37 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
   }
 
   const auto slos = obj.find("slos");
-  if (artifact.schema_version >= 2 &&
-      (slos == obj.end() || !slos->second.is_array())) {
+  if (slos == obj.end() || !slos->second.is_array()) {
     schema_error(error, "missing slos array");
     return std::nullopt;
   }
-  if (slos != obj.end() && slos->second.is_array()) {
-    for (const JsonValue& value : slos->second.arr()) {
-      if (!value.is_object()) {
-        schema_error(error, "slos entry is not an object");
-        return std::nullopt;
-      }
-      const auto& s = value.obj();
-      SloResult result;
-      result.name = str_or(s, "name", "");
-      result.metric = str_or(s, "metric", "");
-      result.percentile = str_or(s, "percentile", "");
-      result.status = str_or(s, "status", "");
-      if (result.name.empty() || result.metric.empty()) {
-        schema_error(error, "slos entry missing name/metric");
-        return std::nullopt;
-      }
-      if (result.status != "pass" && result.status != "breach" &&
-          result.status != "insufficient_data") {
-        schema_error(error, "slo '" + result.name + "' has unknown status '" +
-                                result.status + "'");
-        return std::nullopt;
-      }
-      result.threshold_s = num_or(s, "threshold_s", 0.0);
-      result.min_samples =
-          static_cast<std::uint64_t>(num_or(s, "min_samples", 1.0));
-      result.observed_s = num_or(s, "observed_s", 0.0);
-      result.samples = static_cast<std::uint64_t>(num_or(s, "samples", 0.0));
-      artifact.slos.push_back(std::move(result));
+  for (const JsonValue& value : slos->second.arr()) {
+    if (!value.is_object()) {
+      schema_error(error, "slos entry is not an object");
+      return std::nullopt;
     }
+    const auto& s = value.obj();
+    SloResult result;
+    result.name = str_or(s, "name", "");
+    result.metric = str_or(s, "metric", "");
+    result.percentile = str_or(s, "percentile", "");
+    result.status = str_or(s, "status", "");
+    if (result.name.empty() || result.metric.empty()) {
+      schema_error(error, "slos entry missing name/metric");
+      return std::nullopt;
+    }
+    if (result.status != "pass" && result.status != "breach" &&
+        result.status != "insufficient_data") {
+      schema_error(error, "slo '" + result.name + "' has unknown status '" +
+                              result.status + "'");
+      return std::nullopt;
+    }
+    result.threshold_s = num_or(s, "threshold_s", 0.0);
+    result.min_samples =
+        static_cast<std::uint64_t>(num_or(s, "min_samples", 1.0));
+    result.observed_s = num_or(s, "observed_s", 0.0);
+    result.samples = static_cast<std::uint64_t>(num_or(s, "samples", 0.0));
+    artifact.slos.push_back(std::move(result));
   }
 
   const auto profile = obj.find("profile_top");

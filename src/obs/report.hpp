@@ -23,18 +23,17 @@
 
 #include "obs/critical.hpp"
 #include "obs/profile.hpp"
+#include "obs/slo.hpp"
 
 namespace ps::obs {
 
 class MetricsRegistry;
 
-/// Current BENCH_*.json schema. Bump when fields change meaning; the parser
-/// rejects artifacts with a newer (unknown) version but still reads v1
-/// artifacts (no p999 column — it defaults to p99 — and no SLO section).
-/// v2 adds per-series p999_s and the top-level "slos" verdict array.
-/// v3 adds the optional per-series "attribution" breakdown (critical-path
-/// segments explaining the series' worst exemplar); v1/v2 artifacts still
-/// parse — the field is simply absent.
+/// Current BENCH_*.json schema, the only one the parser accepts. Bump when
+/// fields change meaning (and re-bless results/baselines/). History: v2
+/// added per-series p999_s and the top-level "slos" verdict array; v3 the
+/// optional per-series "attribution" breakdown (critical-path segments
+/// explaining the series' worst exemplar). v1/v2 artifacts are rejected.
 inline constexpr int kBenchSchemaVersion = 3;
 
 /// Critical-path breakdown of one series' worst trace-linked sample: the
@@ -63,20 +62,6 @@ struct SeriesStats {
   /// was still in a span buffer at collection time. Never diffed — the
   /// trace ids are run-local.
   std::optional<SeriesAttribution> attribution;
-};
-
-/// One evaluated SLO verdict embedded in the artifact (the flattened form
-/// of obs::SloVerdict): what was promised, what was observed, and whether
-/// it held. `psctl bench diff` fails any artifact containing a breach.
-struct SloResult {
-  std::string name;
-  std::string metric;
-  std::string percentile;   // "p50" | "p99" | "p999"
-  double threshold_s = 0.0;
-  std::uint64_t min_samples = 1;
-  std::string status;       // "pass" | "breach" | "insufficient_data"
-  double observed_s = 0.0;
-  std::uint64_t samples = 0;
 };
 
 /// Metadata a bench registers per series: measurement clock + units.

@@ -7,43 +7,11 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/text.hpp"
 
 namespace ps::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 double percentile_rank(const std::string& percentile) {
   if (percentile == "p50") return 50.0;
@@ -53,16 +21,15 @@ double percentile_rank(const std::string& percentile) {
               "' (expected p50, p99, or p999)");
 }
 
-std::string fmt_latency(double s) {
-  char buf[32];
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f s", s);
+/// A breach freezes the flight recorder: the spans behind the offending
+/// tail are preserved for the auto-dump even if tracing keeps running. One
+/// snapshot, named after the first breach, covers the whole evaluation.
+void freeze_on_breach(const SloReport& report, const std::string& reason) {
+  for (const SloVerdict& v : report.verdicts) {
+    if (v.status != SloStatus::kBreach) continue;
+    FlightRecorder::global().snapshot(reason + v.objective.name);
+    return;
   }
-  return buf;
 }
 
 }  // namespace
@@ -121,24 +88,36 @@ std::string SloReport::table() const {
   return out;
 }
 
+SloResult to_result(const SloVerdict& verdict) {
+  return SloResult{verdict.objective.name,        verdict.objective.metric,
+                   verdict.objective.percentile,  verdict.objective.threshold_s,
+                   verdict.objective.min_samples, to_string(verdict.status),
+                   verdict.observed_s,            verdict.samples};
+}
+
+void append_slo_json(std::string& out, const SloResult& slo) {
+  out += "{\"name\":\"";
+  json_escape_into(out, slo.name);
+  out += "\",\"metric\":\"";
+  json_escape_into(out, slo.metric);
+  out += "\",\"percentile\":\"";
+  json_escape_into(out, slo.percentile);
+  out += "\",\"threshold_s\":" + fmt_double(slo.threshold_s);
+  out += ",\"min_samples\":" + std::to_string(slo.min_samples);
+  out += ",\"status\":\"";
+  json_escape_into(out, slo.status);
+  out += "\",\"observed_s\":" + fmt_double(slo.observed_s);
+  out += ",\"samples\":" + std::to_string(slo.samples) + "}";
+}
+
 std::string slo_report_json(const SloReport& report) {
   std::string out = "{\"slos\":[";
   bool first = true;
   for (const SloVerdict& v : report.verdicts) {
     if (!first) out += ",";
     first = false;
-    out += "\n {\"name\":\"";
-    json_escape_into(out, v.objective.name);
-    out += "\",\"metric\":\"";
-    json_escape_into(out, v.objective.metric);
-    out += "\",\"percentile\":\"";
-    json_escape_into(out, v.objective.percentile);
-    out += "\",\"threshold_s\":" + fmt_double(v.objective.threshold_s);
-    out += ",\"min_samples\":" + std::to_string(v.objective.min_samples);
-    out += ",\"status\":\"" + to_string(v.status);
-    out += "\",\"observed_s\":" + fmt_double(v.observed_s);
-    out += ",\"samples\":" + std::to_string(v.samples);
-    out += "}";
+    out += "\n ";
+    append_slo_json(out, to_result(v));
   }
   out += "\n],\"breaches\":" + std::to_string(report.breaches());
   out += ",\"passed\":" + std::string(report.passed() ? "1" : "0") + "}\n";
@@ -147,31 +126,28 @@ std::string slo_report_json(const SloReport& report) {
 
 std::string slo_prometheus_text(const SloReport& report) {
   std::string out;
-  out += "# HELP ps_slo_status SLO verdict per objective "
-         "(0=pass, 1=breach, 2=insufficient_data).\n";
-  out += "# TYPE ps_slo_status gauge\n";
-  for (const SloVerdict& v : report.verdicts) {
-    int code = 2;
-    if (v.status == SloStatus::kPass) code = 0;
-    if (v.status == SloStatus::kBreach) code = 1;
-    out += "ps_slo_status{objective=\"" +
-           prom_label_escape(v.objective.name) + "\"} " +
-           std::to_string(code) + "\n";
-  }
-  out += "# HELP ps_slo_observed_seconds Observed quantile per objective.\n";
-  out += "# TYPE ps_slo_observed_seconds gauge\n";
-  for (const SloVerdict& v : report.verdicts) {
-    out += "ps_slo_observed_seconds{objective=\"" +
-           prom_label_escape(v.objective.name) + "\"} " +
-           fmt_double(v.observed_s) + "\n";
-  }
-  out += "# HELP ps_slo_threshold_seconds Declared bound per objective.\n";
-  out += "# TYPE ps_slo_threshold_seconds gauge\n";
-  for (const SloVerdict& v : report.verdicts) {
-    out += "ps_slo_threshold_seconds{objective=\"" +
-           prom_label_escape(v.objective.name) + "\"} " +
-           fmt_double(v.objective.threshold_s) + "\n";
-  }
+  // One gauge family per verdict field, one sample per objective.
+  const auto family = [&](const std::string& prom, const std::string& help,
+                          auto value) {
+    out += "# HELP " + prom + " " + help + "\n# TYPE " + prom + " gauge\n";
+    for (const SloVerdict& v : report.verdicts) {
+      out += prom + "{objective=\"" + prom_label_escape(v.objective.name) +
+             "\"} " + value(v) + "\n";
+    }
+  };
+  family("ps_slo_status",
+         "SLO verdict per objective (0=pass, 1=breach, 2=insufficient_data).",
+         [](const SloVerdict& v) {
+           return std::to_string(v.status == SloStatus::kPass     ? 0
+                                 : v.status == SloStatus::kBreach ? 1
+                                                                  : 2);
+         });
+  family("ps_slo_observed_seconds", "Observed quantile per objective.",
+         [](const SloVerdict& v) { return fmt_double(v.observed_s); });
+  family("ps_slo_threshold_seconds", "Declared bound per objective.",
+         [](const SloVerdict& v) {
+           return fmt_double(v.objective.threshold_s);
+         });
   return out;
 }
 
@@ -252,13 +228,7 @@ SloReport SloRegistry::evaluate(const MetricsRegistry& registry) const {
     }
     report.verdicts.push_back(std::move(verdict));
   }
-  // A breach freezes the flight recorder: the spans behind the offending
-  // tail are preserved for the auto-dump even if tracing keeps running.
-  for (const SloVerdict& v : report.verdicts) {
-    if (v.status != SloStatus::kBreach) continue;
-    FlightRecorder::global().snapshot("slo-breach: " + v.objective.name);
-    break;  // one snapshot covers the whole evaluation
-  }
+  freeze_on_breach(report, "slo-breach: ");
   return report;
 }
 
@@ -303,11 +273,7 @@ SloReport SloRegistry::evaluate_burn(const TelemetryWindows& windows) const {
     }
     report.verdicts.push_back(std::move(verdict));
   }
-  for (const SloVerdict& v : report.verdicts) {
-    if (v.status != SloStatus::kBreach) continue;
-    FlightRecorder::global().snapshot("slo-burn-breach: " + v.objective.name);
-    break;
-  }
+  freeze_on_breach(report, "slo-burn-breach: ");
   return report;
 }
 

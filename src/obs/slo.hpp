@@ -78,6 +78,26 @@ struct SloVerdict {
   double slow_observed_s = 0.0;
 };
 
+/// One evaluated SLO verdict in flat wire form, as `psctl slo --json` and
+/// bench artifacts carry it: what was promised, what was observed, and
+/// whether it held. `psctl bench diff` fails any artifact containing a
+/// breach.
+struct SloResult {
+  std::string name;
+  std::string metric;
+  std::string percentile;   // "p50" | "p99" | "p999"
+  double threshold_s = 0.0;
+  std::uint64_t min_samples = 1;
+  std::string status;       // "pass" | "breach" | "insufficient_data"
+  double observed_s = 0.0;
+  std::uint64_t samples = 0;
+};
+
+SloResult to_result(const SloVerdict& verdict);
+
+/// Appends `slo` as one JSON object ({"name":...,"samples":...}).
+void append_slo_json(std::string& out, const SloResult& slo);
+
 struct SloReport {
   std::vector<SloVerdict> verdicts;
 

@@ -1,64 +1,13 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
+#include <limits>
 
-#include "common/stats.hpp"
-#include "obs/export.hpp"
+#include "obs/text.hpp"
 
 namespace ps::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-/// Prometheus metric name, mirroring the rule in obs/export.cpp.
-std::string prom_name(const std::string& name) {
-  std::string out = "ps_";
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::uint64_t to_ns(double seconds) {
-  if (seconds <= 0.0) return 0;
-  return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
-}
 
 /// cur - prev clamped at zero; counts the clamp.
 std::uint64_t clamped_sub(std::uint64_t cur, std::uint64_t prev,
@@ -116,35 +65,6 @@ HistogramSnapshot histogram_snapshot_delta(const HistogramSnapshot& prev,
 
 }  // namespace
 
-double HistogramSnapshot::percentile(double p) const {
-  if (count == 0) return 0.0;
-  if (count <= Histogram::kReservoir && reservoir.size() == count) {
-    // Exact path: the whole series is in the reservoir (the same rule
-    // Histogram::percentile applies when the series fits).
-    Stats stats;
-    stats.reserve(reservoir.size());
-    for (const double s : reservoir) stats.add(s);
-    return stats.percentile(p);
-  }
-  const auto& bounds = Histogram::bounds();
-  const double rank =
-      p / 100.0 * static_cast<double>(count - 1);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size() && i < bounds.size(); ++i) {
-    const std::uint64_t in_bucket = buckets[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cumulative + in_bucket) > rank) {
-      const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double upper = bounds[i];
-      const double frac = (rank - static_cast<double>(cumulative)) /
-                          static_cast<double>(in_bucket);
-      return lower + (upper - lower) * frac;
-    }
-    cumulative += in_bucket;
-  }
-  return max_s();
-}
-
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   count += other.count;
   sum_ns += other.sum_ns;
@@ -186,24 +106,7 @@ RegistrySnapshot MetricsRegistry::take_snapshot(double vtime_s) const {
         gauge->value(), static_cast<std::uint8_t>(gauge->agg())};
   }
   for (const auto& [name, hist] : histograms_) {
-    HistogramSnapshot h;
-    h.count = hist->count();
-    h.sum_ns = hist->sum_ns();
-    h.min_ns = hist->min_ns();
-    h.max_ns = hist->max_ns();
-    h.buckets = hist->bucket_counts();
-    h.reservoir = hist->reservoir_values();
-    for (const auto& [le, ex] : hist->exemplars()) {
-      ExemplarSnapshot e;
-      e.bucket = static_cast<std::uint32_t>(Histogram::bucket_index(le));
-      e.value_s = ex.value_s;
-      e.trace_hi = ex.trace_hi;
-      e.trace_lo = ex.trace_lo;
-      e.span_id = ex.span_id;
-      e.vtime_s = ex.vtime_s;
-      h.exemplars.push_back(e);
-    }
-    snap.histograms[name] = std::move(h);
+    snap.histograms[name] = hist->snapshot();
   }
   return snap;
 }
@@ -308,10 +211,7 @@ RegistrySnapshot TelemetryWindows::merged_last(double span_s) const {
 }
 
 RegistrySnapshot TelemetryWindows::merged_all() const {
-  std::vector<RegistrySnapshot> deltas;
-  deltas.reserve(windows_.size());
-  for (const Window& window : windows_) deltas.push_back(window.delta);
-  return merge_registry_snapshots(deltas);
+  return merged_last(std::numeric_limits<double>::infinity());
 }
 
 double TelemetryWindows::rate(const std::string& counter,
@@ -336,43 +236,27 @@ double TelemetryWindows::rate(const std::string& counter,
 namespace {
 
 void append_registry_json(std::string& out, const RegistrySnapshot& snap) {
-  out += "{\"vtime_s\":" + fmt_double(snap.vtime_s);
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    json_escape_into(out, name);
-    out += "\":" + std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : snap.gauges) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    json_escape_into(out, name);
-    out += "\":{\"value\":" + fmt_double(gauge.value);
+  out += "{\"vtime_s\":" + fmt_double(snap.vtime_s) + ",\"counters\":";
+  append_json_object(out, snap.counters, [&](std::uint64_t value) {
+    out += std::to_string(value);
+  });
+  out += ",\"gauges\":";
+  append_json_object(out, snap.gauges, [&](const GaugeSnapshot& gauge) {
+    out += "{\"value\":" + fmt_double(gauge.value);
     out += ",\"agg\":\"" + to_string(gauge.agg_hint()) + "\"}";
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : snap.histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    json_escape_into(out, name);
-    out += "\":{\"count\":" + std::to_string(hist.count);
-    out += ",\"sum_s\":" + fmt_double(hist.sum_s());
-    out += ",\"mean_s\":" + fmt_double(hist.mean_s());
-    out += ",\"min_s\":" + fmt_double(hist.min_s());
-    out += ",\"max_s\":" + fmt_double(hist.max_s());
-    out += ",\"p50_s\":" + fmt_double(hist.p50());
-    out += ",\"p99_s\":" + fmt_double(hist.p99());
-    out += ",\"p999_s\":" + fmt_double(hist.p999()) + "}";
-  }
-  out += "}}";
+  });
+  out += ",\"histograms\":";
+  append_json_object(out, snap.histograms, [&](const HistogramSnapshot& h) {
+    out += "{\"count\":" + std::to_string(h.count);
+    out += ",\"sum_s\":" + fmt_double(h.sum_s());
+    out += ",\"mean_s\":" + fmt_double(h.mean_s());
+    out += ",\"min_s\":" + fmt_double(h.min_s());
+    out += ",\"max_s\":" + fmt_double(h.max_s());
+    out += ",\"p50_s\":" + fmt_double(h.p50());
+    out += ",\"p99_s\":" + fmt_double(h.p99());
+    out += ",\"p999_s\":" + fmt_double(h.p999()) + "}";
+  });
+  out += "}";
 }
 
 }  // namespace
@@ -394,129 +278,6 @@ std::string federated_metrics_json(
   out += "\n},\"aggregate\":";
   append_registry_json(out, merge_registry_snapshots(all));
   out += "}\n";
-  return out;
-}
-
-std::string federated_prometheus_text(
-    const std::map<std::string, RegistrySnapshot>& by_site) {
-  std::string out;
-
-  // Family-major order (one # HELP/# TYPE per family, then one sample per
-  // site) keeps the exposition conformant — a family must not repeat.
-  std::map<std::string, bool> counter_names;
-  std::map<std::string, GaugeAgg> gauge_names;
-  std::map<std::string, bool> histogram_names;
-  for (const auto& [site, snap] : by_site) {
-    for (const auto& [name, value] : snap.counters) counter_names[name];
-    for (const auto& [name, gauge] : snap.gauges) {
-      gauge_names[name] = gauge.agg_hint();
-    }
-    for (const auto& [name, hist] : snap.histograms) histogram_names[name];
-  }
-
-  for (const auto& [name, unused] : counter_names) {
-    const std::string prom = prom_name(name) + "_total";
-    out += "# HELP " + prom + " Monotonic count of " + name +
-           " events per site.\n";
-    out += "# TYPE " + prom + " counter\n";
-    for (const auto& [site, snap] : by_site) {
-      const auto it = snap.counters.find(name);
-      if (it == snap.counters.end()) continue;
-      out += prom + "{site=\"" + prom_label_escape(site) + "\"} " +
-             std::to_string(it->second) + "\n";
-    }
-  }
-
-  std::vector<RegistrySnapshot> all;
-  for (const auto& [site, snap] : by_site) all.push_back(snap);
-  const RegistrySnapshot aggregate = merge_registry_snapshots(all);
-  for (const auto& [name, agg] : gauge_names) {
-    const std::string prom = prom_name(name);
-    out += "# HELP " + prom + " Instantaneous value of " + name +
-           " per site (agg=" + to_string(agg) + ").\n";
-    out += "# TYPE " + prom + " gauge\n";
-    for (const auto& [site, snap] : by_site) {
-      const auto it = snap.gauges.find(name);
-      if (it == snap.gauges.end()) continue;
-      out += prom + "{site=\"" + prom_label_escape(site) + "\"} " +
-             fmt_double(it->second.value) + "\n";
-    }
-    // The hint-honoring cross-site combination — the one line a scraper
-    // without GaugeAgg metadata cannot compute (summing a queue depth
-    // across sites would be wrong for agg=last/max).
-    const auto it = aggregate.gauges.find(name);
-    if (it != aggregate.gauges.end()) {
-      out += prom + "{site=\"aggregate\"} " + fmt_double(it->second.value) +
-             "\n";
-    }
-  }
-
-  const auto& bounds = Histogram::bounds();
-  for (const auto& [name, unused] : histogram_names) {
-    const std::string prom = prom_name(name) + "_seconds";
-    out += "# HELP " + prom + " Latency distribution of " + name +
-           " in seconds per site.\n";
-    out += "# TYPE " + prom + " histogram\n";
-    for (const auto& [site, snap] : by_site) {
-      const auto it = snap.histograms.find(name);
-      if (it == snap.histograms.end()) continue;
-      const HistogramSnapshot& hist = it->second;
-      const std::string site_label = "site=\"" + prom_label_escape(site) +
-                                     "\"";
-      std::map<std::uint32_t, const ExemplarSnapshot*> exemplar_by_bucket;
-      for (const ExemplarSnapshot& ex : hist.exemplars) {
-        exemplar_by_bucket[ex.bucket] = &ex;
-      }
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0;
-           i < hist.buckets.size() && i < bounds.size(); ++i) {
-        if (hist.buckets[i] == 0) continue;
-        cumulative += hist.buckets[i];
-        out += prom + "_bucket{" + site_label + ",le=\"" +
-               fmt_double(bounds[i]) + "\"} " + std::to_string(cumulative);
-        const auto ex = exemplar_by_bucket.find(
-            static_cast<std::uint32_t>(i));
-        if (ex != exemplar_by_bucket.end()) {
-          const ExemplarSnapshot& witness = *ex->second;
-          out += " # {trace_id=\"" +
-                 prom_label_escape(
-                     TraceContext{witness.trace_hi, witness.trace_lo,
-                                  witness.span_id, 0}
-                         .trace_id_hex()) +
-                 "\",span_id=\"" + std::to_string(witness.span_id) + "\"} " +
-                 fmt_double(witness.value_s) + " " +
-                 fmt_double(witness.vtime_s);
-        }
-        out += "\n";
-      }
-      out += prom + "_bucket{" + site_label + ",le=\"+Inf\"} " +
-             std::to_string(hist.count) + "\n";
-      out += prom + "_sum{" + site_label + "} " + fmt_double(hist.sum_s()) +
-             "\n";
-      out += prom + "_count{" + site_label + "} " +
-             std::to_string(hist.count) + "\n";
-    }
-    const std::string summary = prom_name(name) + "_quantiles_seconds";
-    out += "# HELP " + summary + " Latency quantiles of " + name +
-           " in seconds per site.\n";
-    out += "# TYPE " + summary + " summary\n";
-    for (const auto& [site, snap] : by_site) {
-      const auto it = snap.histograms.find(name);
-      if (it == snap.histograms.end()) continue;
-      const std::string site_label = "site=\"" + prom_label_escape(site) +
-                                     "\"";
-      for (const double q : {0.5, 0.99, 0.999}) {
-        out += summary + "{" + site_label + ",quantile=\"" + fmt_double(q) +
-               "\"} " + fmt_double(it->second.percentile(q * 100.0)) + "\n";
-      }
-      out += summary + "_sum{" + site_label + "} " +
-             fmt_double(it->second.sum_s()) + "\n";
-      out += summary + "_count{" + site_label + "} " +
-             std::to_string(it->second.count) + "\n";
-    }
-  }
-
-  out += "# EOF\n";
   return out;
 }
 

@@ -40,71 +40,6 @@
 
 namespace ps::obs {
 
-/// One bucket's trace-linked tail witness in wire form (bucket is the raw
-/// index into Histogram::bounds()). Cumulative, like the exemplar it copies:
-/// window deltas carry the best witness so far, and merges keep the
-/// max-value witness per bucket.
-struct ExemplarSnapshot {
-  std::uint32_t bucket = 0;
-  double value_s = 0.0;
-  std::uint64_t trace_hi = 0;
-  std::uint64_t trace_lo = 0;
-  std::uint64_t span_id = 0;
-  double vtime_s = 0.0;
-
-  auto serde_members() {
-    return std::tie(bucket, value_s, trace_hi, trace_lo, span_id, vtime_s);
-  }
-  auto serde_members() const {
-    return std::tie(bucket, value_s, trace_hi, trace_lo, span_id, vtime_s);
-  }
-};
-
-/// Value copy of one Histogram: the full bucket array (index-aligned with
-/// Histogram::bounds()), the raw-sample reservoir prefix, and the integer
-/// sum/min/max the atomics maintain. percentile() reproduces
-/// Histogram::percentile() exactly — Stats-exact while the reservoir holds
-/// the whole series, bucket-interpolated beyond it.
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  std::uint64_t sum_ns = 0;
-  std::uint64_t min_ns = UINT64_MAX;
-  std::uint64_t max_ns = 0;
-  std::vector<std::uint64_t> buckets;  // Histogram::kBuckets entries
-  std::vector<double> reservoir;       // first min(count, kReservoir) samples
-  std::vector<ExemplarSnapshot> exemplars;
-
-  auto serde_members() {
-    return std::tie(count, sum_ns, min_ns, max_ns, buckets, reservoir,
-                    exemplars);
-  }
-  auto serde_members() const {
-    return std::tie(count, sum_ns, min_ns, max_ns, buckets, reservoir,
-                    exemplars);
-  }
-
-  double sum_s() const { return static_cast<double>(sum_ns) * 1e-9; }
-  double mean_s() const {
-    return count == 0 ? 0.0 : sum_s() / static_cast<double>(count);
-  }
-  double min_s() const {
-    return min_ns == UINT64_MAX ? 0.0 : static_cast<double>(min_ns) * 1e-9;
-  }
-  double max_s() const { return static_cast<double>(max_ns) * 1e-9; }
-
-  /// p in [0, 100]; mirrors Histogram::percentile() bit for bit.
-  double percentile(double p) const;
-  double p50() const { return percentile(50.0); }
-  double p99() const { return percentile(99.0); }
-  double p999() const { return percentile(99.9); }
-
-  /// Accumulates `other` into this snapshot: counts/sums/buckets add,
-  /// min/max widen, reservoirs concatenate (capped at Histogram::kReservoir
-  /// — append windows in chronological order and the result is exactly the
-  /// whole-run sample prefix), exemplars keep the max witness per bucket.
-  void merge(const HistogramSnapshot& other);
-};
-
 /// Gauge value + aggregation hint in wire form.
 struct GaugeSnapshot {
   double value = 0.0;

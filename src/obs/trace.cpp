@@ -9,6 +9,28 @@
 
 namespace ps::obs {
 
+namespace {
+
+/// Drops the oldest entries past `capacity`; returns how many went.
+template <typename T>
+std::size_t trim_to(std::deque<T>& records, std::size_t capacity) {
+  const std::size_t excess =
+      records.size() > capacity ? records.size() - capacity : 0;
+  records.erase(records.begin(),
+                records.begin() + static_cast<std::ptrdiff_t>(excess));
+  return excess;
+}
+
+}  // namespace
+
+SpanIndex::SpanIndex(const std::vector<SpanRecord>& spans) {
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const TraceContext& ctx = spans[i].ctx;
+    by_id.emplace(key(ctx, ctx.span_id), i);
+    children[key(ctx, ctx.parent_span_id)].push_back(i);
+  }
+}
+
 TraceRecorder::TraceRecorder() {
   if (const char* cap = std::getenv("PROXYSTORE_TRACE_CAP")) {
     const unsigned long long v = std::strtoull(cap, nullptr, 10);
@@ -51,10 +73,7 @@ void TraceRecorder::record(const std::string& subject,
   {
     std::lock_guard lock(mu_);
     events_.push_back(std::move(e));
-    while (events_.size() > capacity_) {
-      events_.pop_front();
-      ++dropped;
-    }
+    dropped = trim_to(events_, capacity_);
   }
   note_dropped_events(dropped);
 }
@@ -68,10 +87,7 @@ void TraceRecorder::record_span(SpanRecord span) {
   {
     std::lock_guard lock(mu_);
     spans_.push_back(std::move(span));
-    while (spans_.size() > capacity_) {
-      spans_.pop_front();
-      ++dropped;
-    }
+    dropped = trim_to(spans_, capacity_);
   }
   note_dropped_spans(dropped);
 }
@@ -118,14 +134,8 @@ void TraceRecorder::set_capacity(std::size_t capacity) {
   {
     std::lock_guard lock(mu_);
     capacity_ = capacity == 0 ? 1 : capacity;
-    while (events_.size() > capacity_) {
-      events_.pop_front();
-      ++dropped_events;
-    }
-    while (spans_.size() > capacity_) {
-      spans_.pop_front();
-      ++dropped_spans;
-    }
+    dropped_events = trim_to(events_, capacity_);
+    dropped_spans = trim_to(spans_, capacity_);
   }
   note_dropped_events(dropped_events);
   note_dropped_spans(dropped_spans);

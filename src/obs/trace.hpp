@@ -27,8 +27,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/context.hpp"
@@ -63,6 +65,25 @@ struct SpanRecord {
   double wall_end = 0.0;
   double vtime_start = 0.0;
   double vtime_end = 0.0;
+};
+
+/// Parentage index over one span set, shared by every span-tree walker
+/// (Profile, CriticalPath): (trace id, span id) -> position, and (trace id,
+/// parent span id) -> child positions in record order. Span ids are
+/// process-wide sequential, but keys carry the trace id so spans never merge
+/// across traces; on a duplicate key the first record wins.
+struct SpanIndex {
+  using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+
+  SpanIndex() = default;
+  explicit SpanIndex(const std::vector<SpanRecord>& spans);
+
+  static Key key(const TraceContext& ctx, std::uint64_t span_id) {
+    return {ctx.trace_hi, ctx.trace_lo, span_id};
+  }
+
+  std::map<Key, std::size_t> by_id;
+  std::map<Key, std::vector<std::size_t>> children;
 };
 
 class TraceRecorder {

@@ -1198,7 +1198,7 @@ TEST(BenchDiff, MissingSeriesFailsAndNewSeriesInforms) {
   EXPECT_TRUE(found);
 }
 
-TEST(BenchReport, SloVerdictsRoundTripAndV1ArtifactsStillParse) {
+TEST(BenchReport, SloVerdictsRoundTripAndPreV3ArtifactsAreRejected) {
   BenchArtifact artifact = sample_artifact();
   artifact.series["cell.vtime"].p999_s = 0.95;
   SloResult slo;
@@ -1225,25 +1225,22 @@ TEST(BenchReport, SloVerdictsRoundTripAndV1ArtifactsStillParse) {
   EXPECT_EQ(parsed->slos[0].min_samples, 8u);
   EXPECT_EQ(parsed->slos[0].samples, 10u);
 
-  // A v1 artifact (no p999_s column, no slos section) still parses:
-  // p999_s falls back to p99_s, slos stay empty.
-  const std::string v1 =
-      "{\"schema_version\":1,\"bench\":\"old\",\"seed\":7,"
-      "\"git_rev\":\"abc\",\"series\":{\"cell.vtime\":{\"count\":2,"
-      "\"mean_s\":0.5,\"p50_s\":0.4,\"p99_s\":0.9,\"min_s\":0.1,"
-      "\"max_s\":1.0,\"sum_s\":1.0,\"units\":\"s\",\"kind\":\"vtime\"}},"
-      "\"profile_top\":[]}";
-  const auto old = parse_bench_artifact(v1, &error);
-  ASSERT_TRUE(old.has_value()) << error;
-  EXPECT_EQ(old->schema_version, 1);
-  EXPECT_NEAR(old->series.at("cell.vtime").p999_s, 0.9, 1e-12);
-  EXPECT_TRUE(old->slos.empty());
+  // Only schema v3 parses: v1 (no p999_s, no slos) and v2 (no
+  // attribution) artifacts are rejected, however well-formed.
+  for (const int version : {1, 2}) {
+    const std::string old =
+        "{\"schema_version\":" + std::to_string(version) +
+        ",\"bench\":\"old\",\"seed\":7,\"git_rev\":\"abc\",\"series\":{},"
+        "\"slos\":[],\"profile_top\":[]}";
+    EXPECT_FALSE(parse_bench_artifact(old, &error).has_value()) << version;
+    EXPECT_EQ(error, "unsupported schema_version " + std::to_string(version));
+  }
 
-  // A v2 artifact without the slos array is malformed...
-  const std::string v2_missing =
-      "{\"schema_version\":2,\"bench\":\"b\",\"seed\":1,\"git_rev\":\"x\","
+  // A v3 artifact without the slos array is malformed...
+  const std::string missing_slos =
+      "{\"schema_version\":3,\"bench\":\"b\",\"seed\":1,\"git_rev\":\"x\","
       "\"series\":{},\"profile_top\":[]}";
-  EXPECT_FALSE(parse_bench_artifact(v2_missing, &error).has_value());
+  EXPECT_FALSE(parse_bench_artifact(missing_slos, &error).has_value());
   EXPECT_NE(error.find("slos"), std::string::npos) << error;
 
   // ...and an unknown verdict status is a schema violation.
@@ -1252,7 +1249,7 @@ TEST(BenchReport, SloVerdictsRoundTripAndV1ArtifactsStillParse) {
                    .has_value());
 }
 
-TEST(BenchReport, V3AttributionRoundTripsAndV2ArtifactsStillParse) {
+TEST(BenchReport, AttributionRoundTripsAndMalformedOnesAreRejected) {
   BenchArtifact artifact = sample_artifact();
   SeriesAttribution attr;
   attr.trace_id = "70733a74726163650000000000000001";
@@ -1288,20 +1285,8 @@ TEST(BenchReport, V3AttributionRoundTripsAndV2ArtifactsStillParse) {
   BenchArtifact cand = sample_artifact();
   EXPECT_FALSE(diff_bench_artifacts(artifact, cand).failed);
 
-  // A v2 artifact (p999 + slos but no attribution) still parses...
-  const std::string v2 =
-      "{\"schema_version\":2,\"bench\":\"old\",\"seed\":7,"
-      "\"git_rev\":\"abc\",\"series\":{\"cell.vtime\":{\"count\":2,"
-      "\"mean_s\":0.5,\"p50_s\":0.4,\"p99_s\":0.9,\"p999_s\":0.95,"
-      "\"min_s\":0.1,\"max_s\":1.0,\"sum_s\":1.0,\"units\":\"s\","
-      "\"kind\":\"vtime\"}},\"slos\":[],\"profile_top\":[]}";
-  const auto old = parse_bench_artifact(v2, &error);
-  ASSERT_TRUE(old.has_value()) << error;
-  EXPECT_EQ(old->schema_version, 2);
-  EXPECT_FALSE(old->series.at("cell.vtime").attribution.has_value());
-
-  // ...and a malformed v3 attribution (bad trace id, empty segments) is a
-  // schema violation, not silently accepted.
+  // A malformed attribution (bad trace id, empty segments) is a schema
+  // violation, not silently accepted.
   BenchArtifact bad = sample_artifact();
   bad.series["cell.vtime"].attribution = attr;
   bad.series["cell.vtime"].attribution->trace_id = "short";
@@ -1367,6 +1352,46 @@ TEST(BenchReport, WriteAndReadArtifactFile) {
 
   EXPECT_FALSE(read_bench_artifact("/no/such/dir/file.json", &error)
                    .has_value());
+}
+
+TEST(BenchReport, ReaderDecodesEveryEscapeTheWriterEmits) {
+  BenchArtifact artifact = sample_artifact();
+  artifact.bench = "b\tx";
+  artifact.git_rev = "quote\" back\\slash";
+  artifact.series["op\nname\x01"] = artifact.series.at("cell.vtime");
+  artifact.profile_top[0].path = "root;\x1f child";
+  const std::string text = bench_artifact_json(artifact);
+
+  std::string error;
+  const auto parsed = parse_bench_artifact(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->bench, "b\tx");
+  EXPECT_EQ(parsed->git_rev, "quote\" back\\slash");
+  EXPECT_TRUE(parsed->series.contains("op\nname\x01"));
+  EXPECT_EQ(parsed->profile_top[0].path, "root;\x1f child");
+  // Decoding inverts the writer exactly, so a re-emit is byte-identical.
+  EXPECT_EQ(bench_artifact_json(*parsed), text);
+
+  // Escapes the writer never emits are rejected rather than guessed at.
+  for (const char* bad : {"\\q", "\\u00zz", "\\u00e9", "\\"}) {
+    std::string doc = text;
+    doc.replace(doc.find("b\\tx"), 4, std::string("b") + bad);
+    EXPECT_FALSE(parse_bench_artifact(doc, &error).has_value()) << bad;
+  }
+}
+
+TEST(BenchReport, ReaderRejectsMalformedNumbers) {
+  const std::string good = bench_artifact_json(sample_artifact());
+  std::string error;
+  ASSERT_TRUE(parse_bench_artifact(good, &error).has_value()) << error;
+  // std::stod alone would read "42-1" as 42 and "42e" as 42: every byte of
+  // the token must belong to the number.
+  for (const char* bad : {"42-1", "42e", "4.2.1", "--42", "+"}) {
+    std::string doc = good;
+    doc.replace(doc.find("\"seed\":42") + 7, 2, bad);
+    EXPECT_FALSE(parse_bench_artifact(doc, &error).has_value()) << bad;
+    EXPECT_NE(error.find("unparsable number"), std::string::npos) << error;
+  }
 }
 
 // ------------------------------------------- prometheus conformance --------

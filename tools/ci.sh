@@ -2,7 +2,9 @@
 # Full local CI pass:
 #   1. tier-1: configure + build + the complete ctest suite;
 #   2. tier-2: TSan build (-DPS_SANITIZE=thread) running the
-#      concurrency-sensitive tests (`ctest -L tier2`);
+#      concurrency-sensitive tests (`ctest -L tier2`), then an ASan+UBSan
+#      build (-DPS_SANITIZE=address,undefined) running the complete ctest
+#      suite;
 #   3. smoke: `psctl trace export` must produce a loadable Chrome
 #      trace-event JSON artifact, `psctl metrics --prom` a Prometheus
 #      snapshot, and `psctl stream stats` a per-topic table with the
@@ -43,6 +45,7 @@
 #      burn-rate verdict to breach while the other sites stay green.
 #
 # Usage: tools/ci.sh [--skip-tsan]
+#   --skip-tsan  skips both sanitizer builds (TSan and ASan+UBSan).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,8 +63,14 @@ if [[ "${SKIP_TSAN}" == "0" ]]; then
   cmake -B build-tsan -S . -DPS_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}"
   (cd build-tsan && ctest -L tier2 --output-on-failure -j "${JOBS}")
+  echo "==> build-asan: AddressSanitizer+UBSan build + full test suite"
+  cmake -B build-asan -S . -DPS_SANITIZE=address,undefined >/dev/null
+  cmake --build build-asan -j "${JOBS}"
+  # UBSan only logs by default; halting turns any UB report into a failure.
+  (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --output-on-failure -j "${JOBS}")
 else
-  echo "==> tier-2: skipped (--skip-tsan)"
+  echo "==> tier-2 + build-asan: skipped (--skip-tsan)"
 fi
 
 echo "==> smoke: psctl trace export + prometheus snapshot"
