@@ -154,42 +154,15 @@ class Store : public std::enable_shared_from_this<Store> {
   /// cache.insert, or cache.hit) under the (store, key) trace subject.
   template <typename T>
   std::optional<T> get(const Key& key) {
-    check_open();
-    ++metrics_gets_;
-    count_event("store.gets");
-    obs::Timer timer(&get_metrics().vtime, &get_metrics().wall);
-    obs::TraceRecorder& tracer = obs::TraceRecorder::global();
-    const bool tracing = tracer.enabled();
-    const std::string cache_key = key.canonical();
-    {
-      obs::SpanScope probe("store.cache.probe",
-                           tracing ? trace_subject(name_, key)
-                                   : std::string{},
-                           "cache-probe");
-      if (auto cached = cache_.get<T>(cache_key)) {
-        ++metrics_cache_hits_;
-        count_event("store.cache.hits");
-        if (tracing) tracer.record(trace_subject(name_, key), "cache.hit");
-        return *cached;
-      }
-    }
-    count_event("store.cache.misses");
-    std::optional<Bytes> data = connector_->get(key);
-    if (tracing) tracer.record(trace_subject(name_, key), "connector.get");
-    if (!data) return std::nullopt;
-    metrics_bytes_got_ += data->size();
-    std::shared_ptr<const T> value;
-    {
-      obs::SpanScope serde("store.deserialize",
-                           tracing ? trace_subject(name_, key)
-                                   : std::string{},
-                           "serde");
-      value = std::make_shared<const T>(deserialize_value<T>(*data));
-    }
-    if (tracing) tracer.record(trace_subject(name_, key), "deserialize");
-    cache_.put<T>(cache_key, value);
-    if (tracing) tracer.record(trace_subject(name_, key), "cache.insert");
-    return *value;
+    return get_impl<T>(key, /*cache_fetched=*/true);
+  }
+
+  /// get() for an object read once and evicted next (evict-on-resolve): a
+  /// cache hit is still served from the cache, but a fetched value is moved
+  /// to the caller without a cache insert the eviction would undo.
+  template <typename T>
+  std::optional<T> get_once(const Key& key) {
+    return get_impl<T>(key, /*cache_fetched=*/false);
   }
 
   // -- asynchronous operations -------------------------------------------
@@ -339,7 +312,7 @@ class Store : public std::enable_shared_from_this<Store> {
       try {
         // One pipelined round trip, charged to the calling thread — this is
         // where batched resolve beats N sequential gets.
-        const std::vector<std::optional<Bytes>> results =
+        std::vector<std::optional<Bytes>> results =
             connector_->get_batch(miss_keys);
         for (; done < misses.size(); ++done) {
           Miss& miss = misses[done];
@@ -356,7 +329,7 @@ class Store : public std::enable_shared_from_this<Store> {
             obs::SpanScope serde("store.deserialize", miss.cache_key,
                                  "serde");
             value = std::make_shared<const T>(
-                deserialize_value<T>(*results[done]));
+                deserialize_value<T>(std::move(*results[done])));
           }
           cache_.put<T>(miss.cache_key, value);
           out[miss.index] = *value;
@@ -564,19 +537,75 @@ class Store : public std::enable_shared_from_this<Store> {
     }
   }
 
-  template <typename T>
-  T deserialize_value(BytesView data) {
+  /// Decodes with the registered custom deserializer, else serde. An owned
+  /// Bytes rvalue lets serde reuse the buffer (serde::from_bytes(Bytes&&)).
+  template <typename T, typename Buffer>
+  T deserialize_value(Buffer&& data) {
     if (const SerializerEntry* entry = find_serializer<T>()) {
       const auto& fn = std::any_cast<const std::function<T(BytesView)>&>(
           entry->deserializer);
       return fn(data);
     }
     if constexpr (serde::Serializable<T>) {
-      return serde::from_bytes<T>(data);
+      return serde::from_bytes<T>(std::forward<Buffer>(data));
     } else {
       throw SerializationError(
           "Store: type has no serde codec and no registered serializer");
     }
+  }
+
+  /// get() and get_once(): probes the cache, then fetches and decodes.
+  /// `cache_fetched` inserts a fetched value into the cache.
+  template <typename T>
+  std::optional<T> get_impl(const Key& key, bool cache_fetched) {
+    check_open();
+    ++metrics_gets_;
+    count_event("store.gets");
+    obs::Timer timer(&get_metrics().vtime, &get_metrics().wall);
+    obs::TraceRecorder& tracer = obs::TraceRecorder::global();
+    const bool tracing = tracer.enabled();
+    const std::string cache_key = key.canonical();
+    {
+      obs::SpanScope probe("store.cache.probe",
+                           tracing ? trace_subject(name_, key)
+                                   : std::string{},
+                           "cache-probe");
+      if (auto cached = cache_.get<T>(cache_key)) {
+        ++metrics_cache_hits_;
+        count_event("store.cache.hits");
+        if (tracing) tracer.record(trace_subject(name_, key), "cache.hit");
+        return *cached;
+      }
+    }
+    count_event("store.cache.misses");
+    std::optional<T> value = fetch<T>(key, tracing);
+    if (!value || !cache_fetched) return value;
+    auto shared = std::make_shared<const T>(std::move(*value));
+    cache_.put<T>(cache_key, shared);
+    if (tracing) tracer.record(trace_subject(name_, key), "cache.insert");
+    return *shared;
+  }
+
+  /// The uncached half of a get: one connector fetch decoded from the
+  /// buffer the connector handed over, counted in bytes_got and traced
+  /// (connector.get, store.deserialize span, deserialize).
+  template <typename T>
+  std::optional<T> fetch(const Key& key, bool tracing) {
+    obs::TraceRecorder& tracer = obs::TraceRecorder::global();
+    std::optional<Bytes> data = connector_->get(key);
+    if (tracing) tracer.record(trace_subject(name_, key), "connector.get");
+    if (!data) return std::nullopt;
+    metrics_bytes_got_ += data->size();
+    std::optional<T> value;
+    {
+      obs::SpanScope serde("store.deserialize",
+                           tracing ? trace_subject(name_, key)
+                                   : std::string{},
+                           "serde");
+      value.emplace(deserialize_value<T>(std::move(*data)));
+    }
+    if (tracing) tracer.record(trace_subject(name_, key), "deserialize");
+    return value;
   }
 
   template <typename T>
@@ -683,7 +712,12 @@ Factory<T> make_descriptor_factory(FactoryDescriptor descriptor) {
     obs::SpanScope span("proxy.resolve", subject);
     if (tracing) tracer.record(subject, "resolve.start");
     std::shared_ptr<Store> store = get_or_register_store(descriptor);
-    std::optional<T> value = store->get<T>(descriptor.key);
+    // A sole consumer that evicts next moves the value straight into the
+    // proxy; ref-counted, data-flow and kept objects go through the cache.
+    const bool read_once = descriptor.evict && !descriptor.ref_counted &&
+                           descriptor.max_polls == 0;
+    std::optional<T> value = read_once ? store->get_once<T>(descriptor.key)
+                                       : store->get<T>(descriptor.key);
     // Data-flow proxies poll until the producer writes the object.
     for (std::uint32_t poll = 0; !value && poll < descriptor.max_polls;
          ++poll) {

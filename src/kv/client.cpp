@@ -74,36 +74,41 @@ void KvClient::set_many(
   }
 }
 
-std::optional<Bytes> KvClient::get(const std::string& key) {
-  // Peek the size for response cost accounting; the server lock is cheap.
-  const double probe_now = sim::vnow();
-  std::optional<Bytes> value = server_->get(key, probe_now);
-  const std::size_t response_bytes = value ? value->size() : 8;
-  const double arrival = round_trip(key.size(), response_bytes);
-  // Re-read at the arrival time so TTL expiry is judged server-side.
-  return server_->get(key, arrival);
+std::size_t KvClient::get_reply_bytes(const std::string& key) {
+  return server_->value_size(key, sim::vnow()).value_or(8);
 }
 
-std::vector<std::optional<Bytes>> KvClient::get_many(
+std::pair<std::size_t, std::size_t> KvClient::get_many_bytes(
     const std::vector<std::string>& keys) {
-  // Peek sizes for response cost accounting (as in get()).
-  const double probe_now = sim::vnow();
   std::size_t request_bytes = 0;
   std::size_t response_bytes = 0;
   for (const std::string& key : keys) {
     request_bytes += key.size();
-    const std::optional<Bytes> value = server_->get(key, probe_now);
-    response_bytes += value ? value->size() : 8;
+    response_bytes += get_reply_bytes(key);
   }
-  const double arrival =
-      round_trip(request_bytes, std::max<std::size_t>(response_bytes, 8));
-  // Re-read at the arrival time so TTL expiry is judged server-side.
+  return {request_bytes, std::max<std::size_t>(response_bytes, 8)};
+}
+
+std::vector<std::optional<Bytes>> KvClient::read_many(
+    const std::vector<std::string>& keys, double arrival) {
   std::vector<std::optional<Bytes>> out;
   out.reserve(keys.size());
   for (const std::string& key : keys) {
     out.push_back(server_->get(key, arrival));
   }
   return out;
+}
+
+std::optional<Bytes> KvClient::get(const std::string& key) {
+  const double arrival = round_trip(key.size(), get_reply_bytes(key));
+  // Read at the arrival time so TTL expiry is judged server-side.
+  return server_->get(key, arrival);
+}
+
+std::vector<std::optional<Bytes>> KvClient::get_many(
+    const std::vector<std::string>& keys) {
+  const auto [request_bytes, response_bytes] = get_many_bytes(keys);
+  return read_many(keys, round_trip(request_bytes, response_bytes));
 }
 
 bool KvClient::exists(const std::string& key) {
@@ -153,11 +158,8 @@ core::Future<core::Unit> KvClient::set_async(
 
 core::Future<std::optional<Bytes>> KvClient::get_async(
     const std::string& key) {
-  const double probe_now = sim::vnow();
-  const std::optional<Bytes> peek = server_->get(key, probe_now);
-  const std::size_t response_bytes = peek ? peek->size() : 8;
-  const net::WireSample sample = wire(key.size(), response_bytes);
-  // Re-read at the arrival time so TTL expiry is judged server-side.
+  const net::WireSample sample = wire(key.size(), get_reply_bytes(key));
+  // Read at the arrival time so TTL expiry is judged server-side.
   std::optional<Bytes> value = server_->get(key, sample.arrival);
   core::Promise<std::optional<Bytes>> promise;
   core::complete_at(promise, std::move(value), sample.completion);
@@ -182,23 +184,11 @@ core::Future<bool> KvClient::del_async(const std::string& key) {
 
 core::Future<std::vector<std::optional<Bytes>>> KvClient::get_many_async(
     const std::vector<std::string>& keys) {
-  const double probe_now = sim::vnow();
-  std::size_t request_bytes = 0;
-  std::size_t response_bytes = 0;
-  for (const std::string& key : keys) {
-    request_bytes += key.size();
-    const std::optional<Bytes> value = server_->get(key, probe_now);
-    response_bytes += value ? value->size() : 8;
-  }
-  const net::WireSample sample =
-      wire(request_bytes, std::max<std::size_t>(response_bytes, 8));
-  std::vector<std::optional<Bytes>> out;
-  out.reserve(keys.size());
-  for (const std::string& key : keys) {
-    out.push_back(server_->get(key, sample.arrival));
-  }
+  const auto [request_bytes, response_bytes] = get_many_bytes(keys);
+  const net::WireSample sample = wire(request_bytes, response_bytes);
   core::Promise<std::vector<std::optional<Bytes>>> promise;
-  core::complete_at(promise, std::move(out), sample.completion);
+  core::complete_at(promise, read_many(keys, sample.arrival),
+                    sample.completion);
   return promise.future();
 }
 

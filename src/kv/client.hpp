@@ -90,6 +90,20 @@ class KvClient {
   /// Charges request/queue/response costs; returns server-side arrival time.
   double round_trip(std::size_t request_bytes, std::size_t response_bytes);
 
+  /// Response bytes of a GET for `key` as the server would see it now: the
+  /// value's size, or an 8-byte nil reply when absent. Peeks the size only,
+  /// so costing a GET never copies the value.
+  std::size_t get_reply_bytes(const std::string& key);
+
+  /// Request and response bytes of an MGET for `keys` (see get_reply_bytes).
+  std::pair<std::size_t, std::size_t> get_many_bytes(
+      const std::vector<std::string>& keys);
+
+  /// The MGET reply: every key read at server-side `arrival`, so TTL expiry
+  /// is judged there. Position-for-position.
+  std::vector<std::optional<Bytes>> read_many(
+      const std::vector<std::string>& keys, double arrival);
+
   std::string address_;
   std::shared_ptr<KvServer> server_;
 };

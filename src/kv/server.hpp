@@ -54,6 +54,10 @@ class KvServer {
            std::optional<std::chrono::milliseconds> ttl = std::nullopt,
            double virtual_now = 0.0);
   std::optional<Bytes> get(const std::string& key, double virtual_now = 0.0);
+  /// Size of the value get() would return, without copying it: nullopt when
+  /// the key is absent, and an expired key is erased exactly as get() does.
+  std::optional<std::size_t> value_size(const std::string& key,
+                                        double virtual_now = 0.0);
   bool exists(const std::string& key, double virtual_now = 0.0);
   bool del(const std::string& key);
 
@@ -75,6 +79,10 @@ class KvServer {
     /// Virtual expiry time; infinity when no TTL.
     double expires_at;
   };
+
+  /// The live entry for `key`, or nullptr. Erases an entry whose TTL has
+  /// passed at `virtual_now` (lazy expiry, as Redis does). Caller holds mu_.
+  Entry* find_live(const std::string& key, double virtual_now);
 
   void append_aof(const std::string& op, const std::string& key,
                   BytesView value);

@@ -146,6 +146,24 @@ T from_bytes(BytesView data) {
   return value;
 }
 
+/// from_bytes over a buffer the caller hands over. A std::string is the
+/// buffer itself minus its 8-byte length prefix, so it is returned in place
+/// instead of being copied out; every other T decodes through the view
+/// path. Malformed input throws exactly what from_bytes(BytesView) throws.
+template <typename T>
+T from_bytes(Bytes&& data) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    Reader r(data);
+    if (r.read_len() != r.remaining()) {
+      throw SerializationError("serde: trailing bytes after decode");
+    }
+    data.erase(0, sizeof(std::uint64_t));
+    return std::move(data);
+  } else {
+    return from_bytes<T>(BytesView(data));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Built-in codecs.
 // ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "connectors/local.hpp"
+#include "connectors/redis.hpp"
 #include "core/cache.hpp"
 #include "core/instrumented.hpp"
 #include "core/key.hpp"
 #include "core/multi.hpp"
 #include "core/proxy.hpp"
+#include "core/refcount.hpp"
 #include "core/store.hpp"
+#include "kv/server.hpp"
 #include "proc/world.hpp"
 #include "serde/serde.hpp"
 
@@ -484,6 +487,88 @@ TEST_F(CoreTest, NestedProxiesResolveLazily) {
   auto restored = serde::from_bytes<Proxy<Bytes>>(inner_wire);
   EXPECT_FALSE(restored.resolved());
   EXPECT_TRUE(check_pattern(*restored, 1));
+}
+
+// ------------------------------------------- evict-on-resolve and cache ----
+
+/// A capacity-2 store over a kv server whose cache already holds two
+/// objects, both gone from the server, so the server starts empty.
+class ReadOnceTest : public CoreTest {
+ protected:
+  ReadOnceTest() {
+    server_ = kv::KvServer::start(*world_, "host-a", "db");
+    proc::ProcessScope scope(*producer_);
+    Store::Options options;
+    options.cache_size = 2;
+    store_ = std::make_shared<Store>(
+        "read-once",
+        std::make_shared<connectors::RedisConnector>(
+            kv::kv_address("host-a", "db")),
+        options);
+    register_store(store_);
+    for (const char* value : {"resident-a", "resident-b"}) {
+      residents_.push_back(store_->put(std::string(value)));
+      store_->get<std::string>(residents_.back());
+      store_->connector().evict(residents_.back());
+    }
+  }
+
+  bool residents_cached() {
+    for (const Key& key : residents_) {
+      if (!store_->cache().contains(key.canonical())) return false;
+    }
+    return true;
+  }
+
+  std::shared_ptr<kv::KvServer> server_;
+  std::shared_ptr<Store> store_;
+  std::vector<Key> residents_;
+};
+
+TEST_F(ReadOnceTest, EvictOnResolveBypassesTheCache) {
+  proc::ProcessScope scope(*producer_);
+  ASSERT_TRUE(residents_cached());
+  ASSERT_EQ(server_->size(), 0u);
+  const std::size_t evictions = store_->metrics().cache_evictions;
+  Proxy<Bytes> p = store_->proxy(pattern_bytes(4096, 3), /*evict=*/true);
+  EXPECT_TRUE(check_pattern(*p, 3));
+  EXPECT_TRUE(residents_cached());
+  const Key key = p.factory().descriptor()->key;
+  EXPECT_FALSE(store_->cache().contains(key.canonical()));
+  EXPECT_EQ(store_->metrics().cache_evictions, evictions);
+  EXPECT_EQ(server_->size(), 0u);
+}
+
+TEST_F(ReadOnceTest, EvictOnResolveStillServesACacheHit) {
+  proc::ProcessScope scope(*producer_);
+  Proxy<std::string> p =
+      store_->proxy_from_key<std::string>(residents_[0], /*evict=*/true);
+  EXPECT_EQ(*p, "resident-a");  // the server no longer holds it
+  EXPECT_EQ(store_->metrics().cache_hits, 1u);
+}
+
+TEST_F(ReadOnceTest, RefCountedProxyResolvesThroughTheCache) {
+  proc::ProcessScope scope(*producer_);
+  Proxy<std::string> p = proxy_with_refs(*store_, std::string("shared"), 2);
+  EXPECT_EQ(*p, "shared");
+  EXPECT_TRUE(
+      store_->cache().contains(p.factory().descriptor()->key.canonical()));
+  EXPECT_EQ(server_->size(), 1u);  // one reference left
+}
+
+TEST_F(ReadOnceTest, EvictOnResolveUsesACustomSerializer) {
+  proc::ProcessScope scope(*producer_);
+  std::atomic<int> decodes{0};
+  store_->register_serializer<Bytes>(
+      [](const Bytes& b) { return Bytes(b.rbegin(), b.rend()); },
+      [&decodes](BytesView b) {
+        ++decodes;
+        return Bytes(b.rbegin(), b.rend());
+      });
+  Proxy<Bytes> p = store_->proxy(Bytes("abc"), /*evict=*/true);
+  EXPECT_EQ(*p, "abc");
+  EXPECT_EQ(decodes.load(), 1);
+  EXPECT_EQ(server_->size(), 0u);
 }
 
 // ---------------------------------------------------------------- multi ----

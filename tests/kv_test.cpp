@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <string>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
@@ -194,6 +197,81 @@ TEST_F(KvTest, RebindSimulatesServerRestart) {
   proc::ProcessScope scope(*client_proc_);
   KvClient client(kv_address("server-host", "db"));
   EXPECT_EQ(client.get("k"), std::nullopt);
+}
+
+TEST_F(KvTest, ValueSizeExpiresLikeGet) {
+  KvServer server("server-host");
+  for (const char* key : {"peeked", "read"}) {
+    server.set(key, "12345", std::chrono::milliseconds(100), 0.0);
+  }
+  EXPECT_EQ(server.value_size("peeked", 0.05), 5u);
+  EXPECT_EQ(server.get("read", 0.05), "12345");
+  EXPECT_EQ(server.value_size("ghost", 0.05), std::nullopt);
+  // Past the TTL both report the key absent and erase it.
+  EXPECT_EQ(server.value_size("peeked", 0.2), std::nullopt);
+  EXPECT_EQ(server.size(), 1u);
+  EXPECT_EQ(server.get("read", 0.2), std::nullopt);
+  EXPECT_EQ(server.size(), 0u);
+}
+
+TEST_F(KvTest, GetsChargeTheWireCostOfTheValueSize) {
+  // Every GET flavour charges one exchange whose reply is the value's
+  // size, or an 8-byte nil reply when the key is absent or expired.
+  using ChargedVtime = std::function<double(KvClient&, const std::string&)>;
+  const std::vector<std::pair<const char*, ChargedVtime>> ops = {
+      {"get",
+       [](KvClient& c, const std::string& k) {
+         sim::VtimeScope charged;
+         c.get(k);
+         return charged.elapsed();
+       }},
+      {"get_many",
+       [](KvClient& c, const std::string& k) {
+         sim::VtimeScope charged;
+         c.get_many({k});
+         return charged.elapsed();
+       }},
+      {"get_async",
+       [](KvClient& c, const std::string& k) {
+         const double issued = sim::vnow();
+         return c.get_async(k).done_vtime() - issued;
+       }},
+      {"get_many_async", [](KvClient& c, const std::string& k) {
+         const double issued = sim::vnow();
+         return c.get_many_async({k}).done_vtime() - issued;
+       }}};
+  enum class State { kPresent, kAbsent, kExpired };
+  constexpr std::size_t kValueBytes = 1000;
+  const std::string key = "k";
+  int server_id = 0;
+  for (const auto& [name, op] : ops) {
+    for (const State state : {State::kPresent, State::kAbsent,
+                              State::kExpired}) {
+      // A fresh server and channel per case, so no queueing carries over.
+      const std::string db = "db" + std::to_string(server_id++);
+      auto server = KvServer::start(*world_, "server-host", db);
+      proc::ProcessScope scope(*client_proc_);
+      sim::VtimeGuard guard;
+      KvClient client(kv_address("server-host", db));
+      if (state == State::kPresent) {
+        client.set(key, pattern_bytes(kValueBytes));
+      } else if (state == State::kExpired) {
+        client.set(key, pattern_bytes(kValueBytes),
+                   std::chrono::milliseconds(100));
+        sim::vadvance(0.2);
+      }
+      const std::size_t reply = state == State::kPresent ? kValueBytes : 8;
+      const net::Fabric& fabric = world_->fabric();
+      const double expected =
+          fabric.transfer_time("client-host", "server-host", key.size()) +
+          server->service_time(std::max(key.size(), reply)) +
+          fabric.transfer_time("server-host", "client-host", reply);
+      const double charged = op(client, key);
+      EXPECT_NEAR(charged, expected, 1e-12)
+          << name << " state=" << static_cast<int>(state);
+      EXPECT_EQ(server->size(), state == State::kPresent ? 1u : 0u) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <typeinfo>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -236,6 +237,58 @@ TEST_P(SerdeCorruptionTest, CorruptedBuffersFailSafely) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerdeCorruptionTest, ::testing::Range(0, 30));
+
+/// Decodes `buffer` through the view path and through the owned path; both
+/// must yield the same value, or throw the same exception type and message.
+template <typename T>
+void expect_owned_matches_view(const Bytes& buffer) {
+  const auto decode = [](auto&& input, std::optional<T>& value,
+                         std::string& error) {
+    try {
+      value = from_bytes<T>(std::forward<decltype(input)>(input));
+    } catch (const std::exception& e) {
+      error = std::string(typeid(e).name()) + ": " + e.what();
+    }
+  };
+  std::optional<T> view_value;
+  std::optional<T> owned_value;
+  std::string view_error;
+  std::string owned_error;
+  decode(BytesView(buffer), view_value, view_error);
+  decode(Bytes(buffer), owned_value, owned_error);
+  EXPECT_EQ(owned_value, view_value);
+  EXPECT_EQ(owned_error, view_error);
+}
+
+/// The buffers both paths must agree on, built from an encoding of `value`:
+/// well-formed, empty, shorter than a length prefix, a length prefix past
+/// the end, and trailing bytes.
+template <typename T>
+std::vector<Bytes> owned_decode_cases(const T& value) {
+  const Bytes encoded = to_bytes(value);
+  Writer past_end;
+  past_end.write_len(100);
+  past_end.write_raw("abc", 3);
+  return {encoded, Bytes(), encoded.substr(0, 5), past_end.take(),
+          encoded + "x"};
+}
+
+TEST(Serde, OwnedDecodeMatchesViewForStrings) {
+  for (const std::string& value :
+       {std::string("hello world"), std::string(), pattern_bytes(4096, 5)}) {
+    for (const Bytes& buffer : owned_decode_cases(value)) {
+      expect_owned_matches_view<std::string>(buffer);
+    }
+  }
+  EXPECT_EQ(from_bytes<std::string>(to_bytes(std::string("moved"))), "moved");
+}
+
+TEST(Serde, OwnedDecodeMatchesViewForOtherTypes) {
+  const std::vector<std::int32_t> value = {1, -2, 3};
+  for (const Bytes& buffer : owned_decode_cases(value)) {
+    expect_owned_matches_view<std::vector<std::int32_t>>(buffer);
+  }
+}
 
 }  // namespace
 }  // namespace ps::serde

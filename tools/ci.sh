@@ -42,7 +42,12 @@
 #      OpenMetrics-terminated Prometheus text with well-formed site labels,
 #      `psctl top --once` must render a per-site rolling table, and a
 #      single-site injected latency spike must flip exactly that site's
-#      burn-rate verdict to breach while the other sites stay green.
+#      burn-rate verdict to breach while the other sites stay green;
+#   9. perfbench-check: the two-clock benchmark's determinism self-test
+#      (`perfbench/run.py --check --workload all`) — every workload's vtime
+#      must be bit-identical across reps, a traced rep must cost the same
+#      vtime as an untraced one, and the kv server must end in the
+#      workload's expected state (empty after bulk-handoff).
 #
 # Usage: tools/ci.sh [--skip-tsan]
 #   --skip-tsan  skips both sanitizer builds (TSan and ASan+UBSan).
@@ -311,5 +316,8 @@ for site in theta polaris perlmutter uchicago; do
     <<<"${INJECT_OUT}"
 done
 grep -q 'telemetry: per-site hotkey ops .* (exact)$' <<<"${INJECT_OUT}"
+
+echo "==> perfbench-check: two-clock benchmark determinism self-test"
+python3 perfbench/run.py --check --workload all
 
 echo "==> CI pass complete"
