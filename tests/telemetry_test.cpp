@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +16,13 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "connectors/endpoint.hpp"
+#include "connectors/local.hpp"
+#include "core/instrumented.hpp"
+#include "core/store.hpp"
+#include "endpoint/endpoint.hpp"
+#include "kv/client.hpp"
+#include "kv/server.hpp"
 #include "net/fabric.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -23,7 +31,10 @@
 #include "proc/process.hpp"
 #include "proc/world.hpp"
 #include "serde/serde.hpp"
+#include "relay/relay.hpp"
 #include "sim/vtime.hpp"
+#include "stream/queue_broker.hpp"
+#include "stream/stream.hpp"
 #include "telemetry/agent.hpp"
 #include "telemetry/aggregator.hpp"
 
@@ -431,6 +442,206 @@ TEST(TelemetryRace, WritersVersusWindowedScrapes) {
     }
   }
 }
+
+// ----------------------------------------------- per-site attribution ----
+
+/// One substrate op and the series it records: each must land in the
+/// registry of the process that ran it when metrics scoping is on, and in
+/// global() when it is off.
+struct SiteOp {
+  const char* name;
+  std::vector<std::string> counters;
+  std::vector<std::string> histograms;
+  std::vector<std::string> gauges;
+  std::function<void()> run;
+};
+
+/// Counter value, histogram count or gauge value of `name`; 0 when absent.
+double series_value(const RegistrySnapshot& s, const std::string& name) {
+  if (const auto c = s.counters.find(name); c != s.counters.end()) {
+    return static_cast<double>(c->second);
+  }
+  if (const auto h = s.histograms.find(name); h != s.histograms.end()) {
+    return static_cast<double>(h->second.count);
+  }
+  if (const auto g = s.gauges.find(name); g != s.gauges.end()) {
+    return g->second.value;
+  }
+  return 0.0;
+}
+
+/// Fails on any series whose value differs between the two snapshots (a
+/// series registered in between with a zero value counts as untouched).
+void expect_untouched(const RegistrySnapshot& before,
+                      const RegistrySnapshot& after, const char* op) {
+  for (const auto& [name, value] : after.counters) {
+    EXPECT_EQ(series_value(before, name), static_cast<double>(value))
+        << op << " wrote counter " << name;
+  }
+  for (const auto& [name, h] : after.histograms) {
+    EXPECT_EQ(series_value(before, name), static_cast<double>(h.count))
+        << op << " wrote histogram " << name;
+  }
+  for (const auto& [name, g] : after.gauges) {
+    EXPECT_EQ(series_value(before, name), g.value)
+        << op << " wrote gauge " << name;
+  }
+}
+
+/// A Local-, Redis- and endpoint-backed substrate on one host, driven from
+/// one worker process. The parameter is the world's metrics scoping.
+class SiteAttributionTest : public ::testing::TestWithParam<bool> {
+ protected:
+  SiteAttributionTest() {
+    world_ = std::make_unique<proc::World>();
+    world_->fabric().add_site("hpc", net::rdma_fabric(2e-6, 25e9));
+    world_->fabric().add_site("cloud", net::hpc_interconnect(20e-6, 5e9));
+    world_->fabric().add_host("hpc-0", "hpc");
+    world_->fabric().add_host("relay-0", "cloud");
+    world_->fabric().connect_sites("hpc", "cloud", net::wan_tcp(0.030, 1e9));
+    relay_ = relay::RelayServer::start(*world_, "relay-0", "attr-relay");
+    endpoint_ = endpoint::Endpoint::start(*world_, "hpc-0", "attr-ep",
+                                          "relay://relay-0/attr-relay");
+    kv::KvServer::start(*world_, "hpc-0", "attr-kv");
+    worker_ = &world_->spawn("attr-worker", "hpc-0");
+    was_enabled_ = obs::enabled();
+    obs::set_enabled(true);
+    world_->set_metrics_scoping(GetParam());
+  }
+  ~SiteAttributionTest() override {
+    world_->set_metrics_scoping(false);
+    obs::set_enabled(was_enabled_);
+  }
+
+  std::vector<SiteOp> ops() {
+    auto local = std::make_shared<connectors::LocalConnector>();
+    auto store = std::make_shared<core::Store>("attr-store", local);
+    const auto stored = [local] {
+      return local->put(serde::to_bytes(std::string("cold")));
+    };
+    return {
+        {"Store::put", {"store.puts"}, {"store.put.vtime", "store.put.wall"},
+         {}, [store] { store->put(std::string("v")); }},
+        {"Store::get hit",
+         {"store.gets", "store.cache.hits"},
+         {"store.get.vtime", "store.get.wall"},
+         {},
+         [store] {
+           const core::Key key = store->put(std::string("hot"));
+           (void)store->get<std::string>(key);
+           ASSERT_EQ(store->get<std::string>(key), "hot");
+         }},
+        {"Store::get miss",
+         {"store.gets", "store.cache.misses"},
+         {"store.get.vtime", "store.get.wall"},
+         {},
+         [store, stored] {
+           ASSERT_EQ(store->get<std::string>(stored()), "cold");
+         }},
+        {"Store::resolve_batch",
+         {"store.gets", "store.cache.misses"},
+         {},
+         {},
+         [store, stored] {
+           const auto values =
+               store->resolve_batch<std::string>({stored(), stored()});
+           ASSERT_EQ(values.size(), 2u);
+         }},
+        {"Store::proxy", {"store.proxies"}, {}, {},
+         [store] { (void)store->proxy(std::string("p")); }},
+        {"KvClient request",
+         {"rpc.requests"},
+         {"rpc.pipeline.depth"},
+         {"kv.client.queue_wait_s", "rpc.inflight"},
+         [] {
+           kv::KvClient client(kv::kv_address("hpc-0", "attr-kv"));
+           client.set("attr-key", Bytes(4096, 'x'));
+           ASSERT_TRUE(client.get("attr-key").has_value());
+         }},
+        {"InstrumentedConnector op",
+         {"connector.local.put"},
+         {"connector.local.put.vtime", "connector.local.put.wall"},
+         {},
+         [local] {
+           core::InstrumentedConnector instrumented(local);
+           (void)instrumented.put(Bytes("i"));
+         }},
+        {"endpoint request",
+         {"endpoint.requests"},
+         {"endpoint.handle.vtime", "endpoint.handle.wall"},
+         {},
+         [] {
+           connectors::EndpointConnector connector(
+               {endpoint::endpoint_address("hpc-0", "attr-ep")});
+           (void)connector.put(Bytes("e"));
+         }},
+        {"stream flush",
+         {"stream.publish.attr-topic"},
+         {"stream.flush.vtime", "stream.flush.wall", "stream.batch.items",
+          "stream.batch.bytes"},
+         {},
+         [store] {
+           stream::StreamProducer<std::string> producer(
+               store, std::make_shared<stream::QueueBroker>(), "attr-topic");
+           producer.send("s");
+           ASSERT_EQ(producer.flush(), 1u);
+         }},
+    };
+  }
+
+  std::unique_ptr<proc::World> world_;
+  std::shared_ptr<relay::RelayServer> relay_;
+  std::shared_ptr<endpoint::Endpoint> endpoint_;
+  proc::Process* worker_ = nullptr;
+  bool was_enabled_ = true;
+};
+
+TEST_P(SiteAttributionTest, EachOpLandsInTheRegistryOfItsScope) {
+  const bool scoped = GetParam();
+  MetricsRegistry& global = MetricsRegistry::global();
+  for (const SiteOp& op : ops()) {
+    SCOPED_TRACE(op.name);
+    // Gauges are last-writer-wins: a sentinel makes any write visible.
+    for (const std::string& gauge : op.gauges) {
+      global.gauge(gauge).set(-1.0);
+      if (scoped) worker_->metrics().gauge(gauge).set(-1.0);
+    }
+    const RegistrySnapshot global_before = global.take_snapshot(0.0);
+    RegistrySnapshot site_before;
+    if (const MetricsRegistry* site = worker_->try_metrics()) {
+      site_before = site->take_snapshot(0.0);
+    }
+    {
+      proc::ProcessScope scope(*worker_);
+      op.run();
+    }
+    const RegistrySnapshot global_after = global.take_snapshot(0.0);
+    RegistrySnapshot site_after;
+    if (const MetricsRegistry* site = worker_->try_metrics()) {
+      site_after = site->take_snapshot(0.0);
+    }
+    const RegistrySnapshot& target_before = scoped ? site_before : global_before;
+    const RegistrySnapshot& target_after = scoped ? site_after : global_after;
+    for (const auto* names : {&op.counters, &op.histograms, &op.gauges}) {
+      for (const std::string& name : *names) {
+        EXPECT_NE(series_value(target_after, name),
+                  series_value(target_before, name))
+            << name << " did not land in "
+            << (scoped ? "the process registry" : "global()");
+      }
+    }
+    if (scoped) {
+      expect_untouched(global_before, global_after, op.name);
+    } else {
+      expect_untouched(site_before, site_after, op.name);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Scoping, SiteAttributionTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "On" : "Off";
+                         });
 
 }  // namespace
 }  // namespace ps::obs
