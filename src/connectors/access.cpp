@@ -62,6 +62,22 @@ void AccessControlConnector::evict(const core::Key& key) {
   inner_->evict(key);
 }
 
+std::vector<std::optional<Bytes>> AccessControlConnector::get_batch(
+    const std::vector<core::Key>& keys) {
+  if (!keys.empty()) check_access(keys.front());
+  return inner_->get_batch(keys);
+}
+
+std::vector<bool> AccessControlConnector::exists_batch(
+    const std::vector<core::Key>& keys) {
+  if (!keys.empty()) check_access(keys.front());
+  return inner_->exists_batch(keys);
+}
+
+void AccessControlConnector::evict_batch(const std::vector<core::Key>& keys) {
+  inner_->evict_batch(keys);
+}
+
 bool AccessControlConnector::put_at(const core::Key& key, BytesView data) {
   return inner_->put_at(key, data);
 }

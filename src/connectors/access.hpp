@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/connector.hpp"
@@ -40,6 +41,12 @@ class AccessControlConnector : public core::Connector {
   std::optional<Bytes> get(const core::Key& key) override;
   bool exists(const core::Key& key) override;
   void evict(const core::Key& key) override;
+  // Batches are checked once (the check reads only the caller's site) and
+  // forwarded as one inner call.
+  std::vector<std::optional<Bytes>> get_batch(
+      const std::vector<core::Key>& keys) override;
+  std::vector<bool> exists_batch(const std::vector<core::Key>& keys) override;
+  void evict_batch(const std::vector<core::Key>& keys) override;
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
   void close() override { inner_->close(); }

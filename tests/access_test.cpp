@@ -11,6 +11,47 @@
 namespace ps::connectors {
 namespace {
 
+/// Forwards to a LocalConnector and counts the calls that reach it, single
+/// key and batch apart.
+class CountingConnector : public core::Connector {
+ public:
+  std::string type() const override { return inner_.type(); }
+  core::ConnectorConfig config() const override { return inner_.config(); }
+  core::ConnectorTraits traits() const override { return inner_.traits(); }
+  core::Key put(BytesView data) override { return inner_.put(data); }
+  std::optional<Bytes> get(const core::Key& key) override {
+    ++single_calls;
+    return inner_.get(key);
+  }
+  bool exists(const core::Key& key) override {
+    ++single_calls;
+    return inner_.exists(key);
+  }
+  void evict(const core::Key& key) override {
+    ++single_calls;
+    inner_.evict(key);
+  }
+  std::vector<std::optional<Bytes>> get_batch(
+      const std::vector<core::Key>& keys) override {
+    ++batch_calls;
+    return inner_.get_batch(keys);
+  }
+  std::vector<bool> exists_batch(const std::vector<core::Key>& keys) override {
+    ++batch_calls;
+    return inner_.exists_batch(keys);
+  }
+  void evict_batch(const std::vector<core::Key>& keys) override {
+    ++batch_calls;
+    inner_.evict_batch(keys);
+  }
+
+  int single_calls = 0;
+  int batch_calls = 0;
+
+ private:
+  LocalConnector inner_;
+};
+
 class AccessTest : public ::testing::Test {
  protected:
   AccessTest() {
@@ -117,6 +158,68 @@ TEST_F(AccessTest, EvictionAllowedAnywhere) {
   }
   proc::ProcessScope scope(*hospital_);
   EXPECT_FALSE(connector->exists(key));
+}
+
+TEST_F(AccessTest, BatchVerbsForwardAsOneInnerCall) {
+  auto counting = std::make_shared<CountingConnector>();
+  AccessControlConnector connector(counting, {"hospital", "hpc"});
+  std::vector<core::Key> keys;
+  {
+    proc::ProcessScope scope(*hospital_);
+    keys = {connector.put("a"), connector.put("b"), connector.put("c")};
+  }
+  {
+    proc::ProcessScope scope(*hpc_);
+    const auto values = connector.get_batch(keys);
+    ASSERT_EQ(values.size(), 3u);
+    EXPECT_EQ(values[1], "b");
+    EXPECT_EQ(counting->batch_calls, 1);
+    EXPECT_EQ(connector.exists_batch(keys),
+              (std::vector<bool>{true, true, true}));
+    EXPECT_EQ(counting->batch_calls, 2);
+  }
+  {
+    // Eviction stays allowed anywhere, as one batch.
+    proc::ProcessScope scope(*cloud_);
+    connector.evict_batch(keys);
+    EXPECT_EQ(counting->batch_calls, 3);
+  }
+  EXPECT_EQ(counting->single_calls, 0);
+  proc::ProcessScope scope(*hospital_);
+  EXPECT_EQ(connector.exists_batch(keys),
+            (std::vector<bool>{false, false, false}));
+}
+
+TEST_F(AccessTest, StoreBatchesThroughTheFenceCostOneInnerCall) {
+  auto counting = std::make_shared<CountingConnector>();
+  proc::ProcessScope scope(*hpc_);
+  core::Store store("phi-batch",
+                    std::make_shared<AccessControlConnector>(
+                        counting, std::set<std::string>{"hospital", "hpc"}),
+                    core::Store::Options{.cache_size = 0});
+  const std::vector<core::Key> keys = store.put_batch(
+      std::vector<std::string>{"x", "y", "z", "w"});
+  const auto values = store.resolve_batch<std::string>(keys);
+  ASSERT_EQ(values.size(), 4u);
+  EXPECT_EQ(values[3], "w");
+  store.evict_batch(keys);
+  EXPECT_EQ(counting->batch_calls, 2);
+  EXPECT_EQ(counting->single_calls, 0);
+}
+
+TEST_F(AccessTest, DeniedSiteBatchThrowsBeforeAnyInnerCall) {
+  auto counting = std::make_shared<CountingConnector>();
+  AccessControlConnector connector(counting, {"hospital", "hpc"});
+  std::vector<core::Key> keys;
+  {
+    proc::ProcessScope scope(*hospital_);
+    keys = {connector.put("a"), connector.put("b")};
+  }
+  proc::ProcessScope scope(*cloud_);
+  EXPECT_THROW(connector.get_batch(keys), AccessDeniedError);
+  EXPECT_THROW(connector.exists_batch(keys), AccessDeniedError);
+  EXPECT_EQ(counting->batch_calls, 0);
+  EXPECT_EQ(counting->single_calls, 0);
 }
 
 TEST_F(AccessTest, RejectsBadConstruction) {
