@@ -1,14 +1,15 @@
 // InstrumentedConnector: metrics decorator over any Connector.
 //
-// Wraps a connector and times put/get/exists/evict/put_batch per connector
-// *type* into the process-wide MetricsRegistry — counters
-// "connector.<type>.<op>" plus latency histograms ".vtime" (virtual seconds,
-// deterministic) and ".wall" (real seconds). Everything else — config,
-// traits, hints, addressed writes — passes through untouched, so a wrapped
+// Wraps a connector and times every data verb per connector *type* —
+// counters "connector.<type>.<op>" plus latency histograms ".vtime"
+// (virtual seconds, deterministic) and ".wall" (real seconds), and an
+// ".items" histogram per batch verb. Everything else — config, traits,
+// hints, addressed writes — passes through untouched, so a wrapped
 // connector is substitutable anywhere the raw one is: proxies minted against
 // it reconstruct the *raw* connector type from config() in other processes.
-// Metric references are resolved once at construction; per-op overhead when
-// the global obs switch is off is a single relaxed load.
+// Each op records through obs::SiteMetric handles: into the global registry,
+// or into the calling process's registry under per-process metrics scoping.
+// Per-op overhead when the global obs switch is off is a single relaxed load.
 #pragma once
 
 #include <memory>
@@ -41,6 +42,7 @@ class InstrumentedConnector : public Connector {
   std::vector<std::optional<Bytes>> get_batch(
       const std::vector<Key>& keys) override;
   bool exists(const Key& key) override;
+  std::vector<bool> exists_batch(const std::vector<Key>& keys) override;
   void evict(const Key& key) override;
   void evict_batch(const std::vector<Key>& keys) override;
   void close() override;
@@ -61,16 +63,24 @@ class InstrumentedConnector : public Connector {
   const Connector& inner() const { return *inner_; }
 
  private:
-  /// Metric handles for one operation, resolved once.
+  /// Metric handles for one operation.
   struct Op {
-    obs::Counter& count;
-    obs::Histogram& vtime;
-    obs::Histogram& wall;
-    /// "connector.<type>.<op>", reused as the trace span name.
-    std::string span_name;
+    Op(const std::string& type, const char* op, bool batch = false);
+
+    /// "connector.<type>.<op>"; its name is also the op's trace span name.
+    obs::SiteCounter count;
+    obs::SiteHistogram vtime;
+    obs::SiteHistogram wall;
+    /// Items per call of a batch verb ("connector.<type>.<op>.items") —
+    /// makes batching visible: many small batches vs few large ones read
+    /// directly off count/mean.
+    std::optional<obs::SiteHistogram> items;
   };
 
-  static Op make_op(const std::string& type, const char* op);
+  /// Runs one synchronous op under its span, counted and timed; a batch
+  /// verb also records its `items`.
+  template <typename Fn>
+  auto timed(const Op& op, Fn&& fn, std::size_t items = 0);
 
   /// Counts the op and observes end-to-end latency when `future` completes.
   template <typename T>
@@ -83,20 +93,13 @@ class InstrumentedConnector : public Connector {
   Op evict_;
   Op put_batch_;
   Op get_batch_;
+  Op exists_batch_;
+  Op evict_batch_;
   Op get_async_;
   Op put_async_;
   Op exists_async_;
   Op evict_async_;
-  Op evict_batch_;
   Op get_batch_async_;
-  /// Items per put_batch call ("connector.<type>.put_batch.items") — makes
-  /// batching visible: many small batches vs few large ones read directly
-  /// off count/mean.
-  obs::Histogram& put_batch_items_;
-  /// Items per get_batch call ("connector.<type>.get_batch.items").
-  obs::Histogram& get_batch_items_;
-  /// Items per evict_batch call ("connector.<type>.evict_batch.items").
-  obs::Histogram& evict_batch_items_;
 };
 
 }  // namespace ps::core

@@ -91,11 +91,11 @@ class Store : public std::enable_shared_from_this<Store> {
   template <typename T>
   Key put(const T& value) {
     check_open();
-    obs::Timer timer(&put_metrics().vtime, &put_metrics().wall);
+    obs::Timer timer(&series().put_vtime.get(), &series().put_wall.get());
     const Bytes data = serialize_value(value);
     metrics_bytes_put_ += data.size();
     ++metrics_puts_;
-    count_event("store.puts");
+    series().puts.get().inc();
     return connector_->put(data);
   }
 
@@ -104,11 +104,11 @@ class Store : public std::enable_shared_from_this<Store> {
   template <typename T>
   Key put(const T& value, const PutHints& hints) {
     check_open();
-    obs::Timer timer(&put_metrics().vtime, &put_metrics().wall);
+    obs::Timer timer(&series().put_vtime.get(), &series().put_wall.get());
     const Bytes data = serialize_value(value);
     metrics_bytes_put_ += data.size();
     ++metrics_puts_;
-    count_event("store.puts");
+    series().puts.get().inc();
     return connector_->put_hinted(data, hints);
   }
 
@@ -122,7 +122,7 @@ class Store : public std::enable_shared_from_this<Store> {
       blobs.push_back(serialize_value(value));
       metrics_bytes_put_ += blobs.back().size();
       ++metrics_puts_;
-      count_event("store.puts");
+      series().puts.get().inc();
     }
     return connector_->put_batch(blobs);
   }
@@ -136,7 +136,7 @@ class Store : public std::enable_shared_from_this<Store> {
     for (const Bytes& blob : blobs) {
       metrics_bytes_put_ += blob.size();
       ++metrics_puts_;
-      count_event("store.puts");
+      series().puts.get().inc();
     }
     return connector_->put_batch(blobs);
   }
@@ -181,11 +181,11 @@ class Store : public std::enable_shared_from_this<Store> {
   ps::core::Future<std::optional<T>> get_async(const Key& key) {
     check_open();
     ++metrics_gets_;
-    count_event("store.gets");
+    series().gets.get().inc();
     const std::string cache_key = key.canonical();
     if (auto cached = cache_.get<T>(cache_key)) {
       ++metrics_cache_hits_;
-      count_event("store.cache.hits");
+      series().hits.get().inc();
       return make_ready_future(std::optional<T>(*cached));
     }
     const InFlightKey in_flight_key{cache_key, std::type_index(typeid(T))};
@@ -194,7 +194,7 @@ class Store : public std::enable_shared_from_this<Store> {
       std::lock_guard lock(inflight_mu_);
       const auto it = inflight_.find(in_flight_key);
       if (it != inflight_.end()) {
-      count_event("store.cache.misses");
+        series().misses.get().inc();
         return std::any_cast<ps::core::Future<std::optional<T>>>(it->second);
       }
       // A fetch may have finished between the unlocked cache probe above and
@@ -203,10 +203,10 @@ class Store : public std::enable_shared_from_this<Store> {
       // the exactly-one-deserialization-per-key guarantee airtight.
       if (auto cached = cache_.get<T>(cache_key)) {
         ++metrics_cache_hits_;
-        count_event("store.cache.hits");
+        series().hits.get().inc();
         return make_ready_future(std::optional<T>(*cached));
       }
-      count_event("store.cache.misses");
+      series().misses.get().inc();
       inflight_.emplace(in_flight_key, std::any(promise.future()));
     }
     ps::core::Future<std::optional<Bytes>> raw = connector_->get_async(key);
@@ -268,17 +268,17 @@ class Store : public std::enable_shared_from_this<Store> {
     std::unordered_map<std::string, std::size_t> first_miss;
     for (std::size_t i = 0; i < keys.size(); ++i) {
       ++metrics_gets_;
-      count_event("store.gets");
+      series().gets.get().inc();
       const std::string cache_key = keys[i].canonical();
       if (auto cached = cache_.get<T>(cache_key)) {
         ++metrics_cache_hits_;
-        count_event("store.cache.hits");
+        series().hits.get().inc();
         out[i] = *cached;
         continue;
       }
       if (const auto dup = first_miss.find(cache_key);
           dup != first_miss.end()) {
-          count_event("store.cache.misses");
+        series().misses.get().inc();
         aliases.emplace_back(i, dup->second);
         continue;
       }
@@ -286,7 +286,7 @@ class Store : public std::enable_shared_from_this<Store> {
       std::lock_guard lock(inflight_mu_);
       if (const auto it = inflight_.find(in_flight_key);
           it != inflight_.end()) {
-          count_event("store.cache.misses");
+        series().misses.get().inc();
         joined.emplace_back(
             i, std::any_cast<ps::core::Future<std::optional<T>>>(it->second));
         continue;
@@ -294,11 +294,11 @@ class Store : public std::enable_shared_from_this<Store> {
       // Same completed-between-probe-and-lock re-check as get_async.
       if (auto cached = cache_.get<T>(cache_key)) {
         ++metrics_cache_hits_;
-        count_event("store.cache.hits");
+        series().hits.get().inc();
         out[i] = *cached;
         continue;
       }
-      count_event("store.cache.misses");
+      series().misses.get().inc();
       Miss miss{i, keys[i], cache_key, {}};
       inflight_.emplace(in_flight_key, std::any(miss.promise.future()));
       first_miss.emplace(cache_key, misses.size());
@@ -430,7 +430,7 @@ class Store : public std::enable_shared_from_this<Store> {
   template <typename T>
   Proxy<T> proxy_from_key(const Key& key, bool evict = false) {
     check_open();
-    obs::MetricsRegistry::ambient().counter("store.proxies").inc();
+    series().proxies.get().inc();
     obs::SpanScope span("store.proxy", trace_subject(name_, key));
     obs::TraceRecorder& tracer = obs::TraceRecorder::global();
     if (tracer.enabled()) {
@@ -476,7 +476,7 @@ class Store : public std::enable_shared_from_this<Store> {
     const Bytes data = serialize_value(value);
     metrics_bytes_put_ += data.size();
     ++metrics_puts_;
-    count_event("store.puts");
+    series().puts.get().inc();
     if (!connector_->put_at(key, data)) {
       throw ConnectorError("Store '" + name_ +
                            "': connector does not support addressed writes");
@@ -560,8 +560,8 @@ class Store : public std::enable_shared_from_this<Store> {
   std::optional<T> get_impl(const Key& key, bool cache_fetched) {
     check_open();
     ++metrics_gets_;
-    count_event("store.gets");
-    obs::Timer timer(&get_metrics().vtime, &get_metrics().wall);
+    series().gets.get().inc();
+    obs::Timer timer(&series().get_vtime.get(), &series().get_wall.get());
     obs::TraceRecorder& tracer = obs::TraceRecorder::global();
     const bool tracing = tracer.enabled();
     const std::string cache_key = key.canonical();
@@ -572,12 +572,12 @@ class Store : public std::enable_shared_from_this<Store> {
                            "cache-probe");
       if (auto cached = cache_.get<T>(cache_key)) {
         ++metrics_cache_hits_;
-        count_event("store.cache.hits");
+        series().hits.get().inc();
         if (tracing) tracer.record(trace_subject(name_, key), "cache.hit");
         return *cached;
       }
     }
-    count_event("store.cache.misses");
+    series().misses.get().inc();
     std::optional<T> value = fetch<T>(key, tracing);
     if (!value || !cache_fetched) return value;
     auto shared = std::make_shared<const T>(std::move(*value));
@@ -621,28 +621,23 @@ class Store : public std::enable_shared_from_this<Store> {
     inflight_.erase(key);
   }
 
-  /// Op histograms shared across stores, resolved in the ambient registry
-  /// per call so per-process metrics scoping attributes them to the
-  /// simulated site doing the work (the global registry when scoping is
-  /// off — the historical behavior).
-  struct OpHistograms {
-    obs::Histogram& vtime;
-    obs::Histogram& wall;
+  /// Store series shared by every store; each op records into the calling
+  /// process's registry under per-process metrics scoping. The per-store
+  /// atomics below feed Store::metrics().
+  struct Series {
+    obs::SiteCounter puts{"store.puts"};
+    obs::SiteCounter gets{"store.gets"};
+    obs::SiteCounter hits{"store.cache.hits"};
+    obs::SiteCounter misses{"store.cache.misses"};
+    obs::SiteCounter proxies{"store.proxies"};
+    obs::SiteHistogram put_vtime{"store.put.vtime"};
+    obs::SiteHistogram put_wall{"store.put.wall"};
+    obs::SiteHistogram get_vtime{"store.get.vtime"};
+    obs::SiteHistogram get_wall{"store.get.wall"};
   };
-  static OpHistograms put_metrics() {
-    obs::MetricsRegistry& ambient = obs::MetricsRegistry::ambient();
-    return OpHistograms{ambient.histogram("store.put.vtime"),
-                        ambient.histogram("store.put.wall")};
-  }
-  static OpHistograms get_metrics() {
-    obs::MetricsRegistry& ambient = obs::MetricsRegistry::ambient();
-    return OpHistograms{ambient.histogram("store.get.vtime"),
-                        ambient.histogram("store.get.wall")};
-  }
-  /// Ambient-registry event counter: the telemetry plane's view of store
-  /// activity (the per-store atomics below feed Store::metrics()).
-  static void count_event(const char* name) {
-    obs::MetricsRegistry::ambient().counter(name).inc();
+  static const Series& series() {
+    static const Series instance;
+    return instance;
   }
 
   std::string name_;
@@ -697,10 +692,14 @@ std::uint32_t refcount_decrement(const std::string& store_name,
 template <typename T>
 Factory<T> make_descriptor_factory(FactoryDescriptor descriptor) {
   auto fn = [descriptor]() -> T {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.counter("proxy.resolves").inc();
-    obs::Timer timer(&registry.histogram("proxy.resolve.vtime"),
-                     &registry.histogram("proxy.resolve.wall"));
+    // Resolves record into the global registry whatever the scoping.
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    static obs::Counter& resolves = registry.counter("proxy.resolves");
+    static obs::Counter& failures = registry.counter("proxy.resolve_failures");
+    static obs::Histogram& vtime = registry.histogram("proxy.resolve.vtime");
+    static obs::Histogram& wall = registry.histogram("proxy.resolve.wall");
+    resolves.inc();
+    obs::Timer timer(&vtime, &wall);
     obs::TraceRecorder& tracer = obs::TraceRecorder::global();
     const bool tracing = tracer.enabled();
     const std::string subject =
@@ -726,7 +725,7 @@ Factory<T> make_descriptor_factory(FactoryDescriptor descriptor) {
       value = store->get<T>(descriptor.key);
     }
     if (!value) {
-      registry.counter("proxy.resolve_failures").inc();
+      failures.inc();
       throw ProxyResolutionError("proxy target '" +
                                  descriptor.key.canonical() +
                                  "' not found in store '" +

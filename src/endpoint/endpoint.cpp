@@ -15,27 +15,21 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Request-path metric handles, resolved once per process.
-struct EndpointMetrics {
-  obs::Counter& requests;
-  obs::Counter& forwards;
-  obs::Counter& handshakes;
-  obs::Histogram& handle_vtime;
-  obs::Histogram& handle_wall;
-  obs::Histogram& forward_vtime;
-
-  /// Resolved in the ambient registry per call so the endpoint's metrics
-  /// land in the site handling the request under per-process scoping.
-  static EndpointMetrics get() {
-    auto& r = obs::MetricsRegistry::ambient();
-    return EndpointMetrics{r.counter("endpoint.requests"),
-                           r.counter("endpoint.forwards"),
-                           r.counter("endpoint.handshakes"),
-                           r.histogram("endpoint.handle.vtime"),
-                           r.histogram("endpoint.handle.wall"),
-                           r.histogram("endpoint.forward.vtime")};
-  }
+/// Request-path series; under per-process scoping they land in the site
+/// handling the request.
+struct Series {
+  obs::SiteCounter requests{"endpoint.requests"};
+  obs::SiteCounter forwards{"endpoint.forwards"};
+  obs::SiteCounter handshakes{"endpoint.handshakes"};
+  obs::SiteHistogram handle_vtime{"endpoint.handle.vtime"};
+  obs::SiteHistogram handle_wall{"endpoint.handle.wall"};
+  obs::SiteHistogram forward_vtime{"endpoint.forward.vtime"};
 };
+
+const Series& series() {
+  static const Series instance;
+  return instance;
+}
 
 }  // namespace
 
@@ -129,7 +123,7 @@ void Endpoint::on_relay_message(const relay::RelayMessage& message) {
       // connected (the initiator completes the punch).
       peer.phase = PeerPhase::kConnected;
       ++handshakes_;
-      if (obs::enabled()) EndpointMetrics::get().handshakes.inc();
+      if (obs::enabled()) series().handshakes.get().inc();
       lock.unlock();
       relay_->forward(relay::RelayMessage{
           .from = uuid_, .to = message.from, .kind = "ice",
@@ -167,7 +161,7 @@ void Endpoint::connect_peer(const Uuid& peer_id) {
   if (peer.phase != PeerPhase::kConnected) {
     peer.phase = PeerPhase::kConnected;
     ++handshakes_;
-    if (obs::enabled()) EndpointMetrics::get().handshakes.inc();
+    if (obs::enabled()) series().handshakes.get().inc();
   }
 }
 
@@ -184,9 +178,8 @@ EndpointResponse Endpoint::handle(const EndpointRequest& request) {
   obs::SpanScope span(local ? "endpoint.handle" : "endpoint.forward",
                       request.op, "wire-transfer");
   span.set_locality(span_locality());
-  EndpointMetrics metrics = EndpointMetrics::get();
-  if (obs::enabled()) metrics.requests.inc();
-  obs::Timer timer(&metrics.handle_vtime, &metrics.handle_wall);
+  if (obs::enabled()) series().requests.get().inc();
+  obs::Timer timer(&series().handle_vtime.get(), &series().handle_wall.get());
   if (local) {
     // Single-threaded event loop: FIFO over all client requests, with the
     // service time covering both the request and the response payloads
@@ -199,8 +192,8 @@ EndpointResponse Endpoint::handle(const EndpointRequest& request) {
     return response;
   }
 
-  if (obs::enabled()) metrics.forwards.inc();
-  obs::Timer forward_timer(&metrics.forward_vtime);
+  if (obs::enabled()) series().forwards.get().inc();
+  obs::Timer forward_timer(&series().forward_vtime.get());
 
   // Dispatching a forwarded request costs the loop the request handling.
   const double done = queue_.schedule(

@@ -63,13 +63,12 @@ double CloudService::ingest(double arrival, std::size_t bytes) {
 
 Uuid CloudService::submit(const Uuid& endpoint, const std::string& function,
                           Bytes payload) {
-  auto& registry = obs::MetricsRegistry::ambient();
-  obs::Histogram& submit_vtime = registry.histogram("faas.submit.vtime");
-  obs::Histogram& submit_wall = registry.histogram("faas.submit.wall");
-  obs::Counter& rejections = registry.counter("faas.payload_rejections");
-  obs::Timer timer(&submit_vtime, &submit_wall);
+  static const obs::SiteHistogram submit_vtime("faas.submit.vtime");
+  static const obs::SiteHistogram submit_wall("faas.submit.wall");
+  obs::Timer timer(&submit_vtime.get(), &submit_wall.get());
   if (payload.size() > options_.max_payload_bytes) {
-    if (obs::enabled()) rejections.inc();
+    static const obs::SiteCounter rejections("faas.payload_rejections");
+    if (obs::enabled()) rejections.get().inc();
     throw PayloadTooLargeError(
         "task payload of " + std::to_string(payload.size()) +
         " bytes exceeds the " + std::to_string(options_.max_payload_bytes) +
@@ -193,11 +192,10 @@ void ComputeEndpoint::worker_loop() {
                                                 process_.host(),
                                                 task->payload.size());
     sim::vset(std::max(arrival, last_done));
-    auto& registry = obs::MetricsRegistry::ambient();
-    obs::Histogram& exec_vtime = registry.histogram("faas.task.exec.vtime");
-    obs::Histogram& exec_wall = registry.histogram("faas.task.exec.wall");
-    obs::Counter& executed = registry.counter("faas.tasks.executed");
-    obs::Counter& errored = registry.counter("faas.tasks.errored");
+    static const obs::SiteHistogram exec_vtime("faas.task.exec.vtime");
+    static const obs::SiteHistogram exec_wall("faas.task.exec.wall");
+    static const obs::SiteCounter executed("faas.tasks.executed");
+    static const obs::SiteCounter errored("faas.tasks.errored");
     Bytes output;
     std::string error;
     {
@@ -205,7 +203,7 @@ void ComputeEndpoint::worker_loop() {
       // trace via the context carried in the task record.
       obs::ContextScope adopt(task->trace);
       obs::SpanScope dispatch("faas.dispatch", task->function, "dispatch");
-      obs::Timer timer(&exec_vtime, &exec_wall);
+      obs::Timer timer(&exec_vtime.get(), &exec_wall.get());
       try {
         const TaskFunction fn = FunctionRegistry::instance().lookup(
             task->function);
@@ -214,7 +212,7 @@ void ComputeEndpoint::worker_loop() {
         error = e.what();
       }
     }
-    if (obs::enabled()) (error.empty() ? executed : errored).inc();
+    if (obs::enabled()) (error.empty() ? executed : errored).get().inc();
     cloud_->post_result(uuid_, task->id, std::move(output), std::move(error));
   }
 }

@@ -21,13 +21,6 @@
 
 namespace ps::faas {
 
-namespace detail {
-/// Executor-path metric handles (defined in executor.cpp).
-obs::Counter& submits_counter();
-obs::Counter& failures_counter();
-obs::Histogram& rtt_vtime_histogram();
-}  // namespace detail
-
 /// Handle to a submitted task's eventual result.
 class TaskFuture {
  public:
@@ -44,10 +37,12 @@ class TaskFuture {
     obs::SpanScope span("faas.result");
     TaskResult result = cloud_->retrieve(task_);
     if (submit_vtime_ >= 0.0 && obs::enabled()) {
-      detail::rtt_vtime_histogram().observe(sim::vnow() - submit_vtime_);
+      static const obs::SiteHistogram rtt("faas.rtt.vtime");
+      rtt.get().observe(sim::vnow() - submit_vtime_);
     }
     if (result.failed()) {
-      detail::failures_counter().inc();
+      static const obs::SiteCounter failures("faas.task_failures");
+      failures.get().inc();
       throw Error("task failed remotely: " + result.error);
     }
     return std::move(result.data);
@@ -79,7 +74,10 @@ class Executor {
 
   /// Byte-level submission.
   TaskFuture submit(const std::string& function, Bytes payload) {
-    if (obs::enabled()) detail::submits_counter().inc();
+    if (obs::enabled()) {
+      static const obs::SiteCounter submits("faas.submits");
+      submits.get().inc();
+    }
     const double submit_vtime = sim::vnow();
     // The span is the thread's current context while cloud_->submit runs,
     // so the task record carries it to the remote worker.

@@ -39,9 +39,9 @@ net::WireSample KvClient::wire(std::size_t request_bytes,
     // Gauge (not histogram): psctl top reads it as a point-in-time depth
     // signal; kMax makes the cross-site aggregate the worst backlog.
     if (obs::enabled()) {
-      obs::MetricsRegistry::ambient()
-          .gauge("kv.client.queue_wait_s", obs::GaugeAgg::kMax)
-          .set(std::max(0.0, done - arrival - service));
+      static const obs::SiteGauge queue_wait("kv.client.queue_wait_s",
+                                             obs::GaugeAgg::kMax);
+      queue_wait.get().set(std::max(0.0, done - arrival - service));
     }
     // ...and the response travels back on the response lane.
     const double response_cost = world.fabric().transfer_time(

@@ -42,12 +42,12 @@ WireSample PipelinedChannel::transact(double issue, double request_cost,
   last_completion_ = sample.completion;
   ++requests_;
 
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::ambient();
-  reg.gauge("rpc.inflight", obs::GaugeAgg::kMax)
-      .set(static_cast<double>(sample.depth));
-  reg.histogram("rpc.pipeline.depth")
-      .observe(static_cast<double>(sample.depth));
-  reg.counter("rpc.requests").inc();
+  static const obs::SiteGauge inflight("rpc.inflight", obs::GaugeAgg::kMax);
+  static const obs::SiteHistogram depth("rpc.pipeline.depth");
+  static const obs::SiteCounter requests("rpc.requests");
+  inflight.get().set(static_cast<double>(sample.depth));
+  depth.get().observe(static_cast<double>(sample.depth));
+  requests.get().inc();
   return sample;
 }
 

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -316,5 +317,48 @@ class MetricsRegistry {
 /// save/restore pair proc::ProcessScope uses. Plain thread_local swap;
 /// callers own the registry's lifetime.
 MetricsRegistry* set_ambient_registry(MetricsRegistry* registry);
+
+/// A call site's handle on one named metric of the ambient registry — how
+/// every per-op site finds its metric. The global() metric is resolved once,
+/// at construction; get() returns it while ambient() is global(), and
+/// resolves the name in the ambient registry while per-process scoping has
+/// installed another. Only global handles are cached: a process registry
+/// dies with its Process. Fixed names live in function-local statics, names
+/// built at run time (a connector type, a topic) in their owning object.
+/// Gauges pin `agg` in whichever registry they resolve in.
+template <typename Metric>
+class SiteMetric {
+ public:
+  explicit SiteMetric(std::string name, GaugeAgg agg = GaugeAgg::kLast)
+      : name_(std::move(name)),
+        agg_(agg),
+        global_(&find(MetricsRegistry::global())) {}
+
+  Metric& get() const {
+    MetricsRegistry& ambient = MetricsRegistry::ambient();
+    return &ambient == &MetricsRegistry::global() ? *global_ : find(ambient);
+  }
+
+  const std::string& name() const { return name_; }
+
+ private:
+  Metric& find(MetricsRegistry& registry) const {
+    if constexpr (std::is_same_v<Metric, Counter>) {
+      return registry.counter(name_);
+    } else if constexpr (std::is_same_v<Metric, Histogram>) {
+      return registry.histogram(name_);
+    } else {
+      return registry.gauge(name_, agg_);
+    }
+  }
+
+  std::string name_;
+  GaugeAgg agg_;
+  Metric* global_;
+};
+
+using SiteCounter = SiteMetric<Counter>;
+using SiteHistogram = SiteMetric<Histogram>;
+using SiteGauge = SiteMetric<Gauge>;
 
 }  // namespace ps::obs

@@ -56,7 +56,8 @@ void RelayServer::forward(RelayMessage message) {
     ++forwarded_;
   }
   if (obs::enabled()) {
-    obs::MetricsRegistry::ambient().counter("relay.forwarded").inc();
+    static const obs::SiteCounter forwarded("relay.forwarded");
+    forwarded.get().inc();
   }
   // The relay is its own actor: record the forward under the relay host's
   // locality, not the calling endpoint's process.

@@ -1,7 +1,6 @@
 #include "stream/dispatch.hpp"
 
 #include "obs/context.hpp"
-#include "obs/metrics.hpp"
 #include "serde/serde.hpp"
 #include "stream/event.hpp"
 
@@ -14,13 +13,14 @@ StreamDispatcher::StreamDispatcher(std::shared_ptr<PubSub> broker,
       topic_(std::move(topic)),
       executor_(std::move(executor)),
       function_(std::move(function)),
+      dispatched_total_("stream.dispatch." + topic_),
       subscription_(broker_->subscribe(topic_)) {}
 
 void StreamDispatcher::submit(Bytes event_wire) {
   const Event event = serde::from_bytes<Event>(event_wire);
   obs::ContextScope adopt(event.trace);
   obs::SpanScope span("stream.dispatch", topic_, "dispatch");
-  obs::MetricsRegistry::ambient().counter("stream.dispatch." + topic_).inc();
+  dispatched_total_.get().inc();
   futures_.push_back(executor_.submit(function_, std::move(event_wire)));
   ++dispatched_;
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "faas/executor.hpp"
+#include "obs/metrics.hpp"
 #include "stream/pubsub.hpp"
 
 namespace ps::stream {
@@ -47,6 +48,7 @@ class StreamDispatcher {
   std::string topic_;
   faas::Executor executor_;
   std::string function_;
+  obs::SiteCounter dispatched_total_;  // "stream.dispatch.<topic>"
   std::shared_ptr<Subscription> subscription_;
   std::vector<faas::TaskFuture> futures_;
   std::uint64_t dispatched_ = 0;

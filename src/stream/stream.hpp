@@ -60,7 +60,9 @@ class StreamProducer {
       : store_(std::move(store)),
         broker_(std::move(broker)),
         topic_(std::move(topic)),
-        options_(options) {}
+        options_(options),
+        published_total_("stream.publish." + topic_),
+        delivered_total_("stream.delivered." + topic_) {}
 
   ~StreamProducer() {
     try {
@@ -93,15 +95,13 @@ class StreamProducer {
   std::size_t flush() {
     if (pending_.empty()) return 0;
     obs::SpanScope flush_span("stream.flush", topic_);
-    // Resolved in the ambient registry per flush so per-process metrics
-    // scoping attributes the batch to the producing site.
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::ambient();
-    obs::Timer timer(&metrics.histogram("stream.flush.vtime"),
-                     &metrics.histogram("stream.flush.wall"));
-    metrics.histogram("stream.batch.items")
-        .observe(static_cast<double>(pending_.size()));
-    metrics.histogram("stream.batch.bytes")
-        .observe(static_cast<double>(pending_bytes_));
+    static const obs::SiteHistogram flush_vtime("stream.flush.vtime");
+    static const obs::SiteHistogram flush_wall("stream.flush.wall");
+    static const obs::SiteHistogram batch_items("stream.batch.items");
+    static const obs::SiteHistogram batch_bytes("stream.batch.bytes");
+    obs::Timer timer(&flush_vtime.get(), &flush_wall.get());
+    batch_items.get().observe(static_cast<double>(pending_.size()));
+    batch_bytes.get().observe(static_cast<double>(pending_bytes_));
 
     std::vector<Bytes> blobs;
     std::vector<std::uint64_t> sizes;
@@ -140,8 +140,8 @@ class StreamProducer {
       event.attrs = std::move(pending_[i].attrs);
       event.trace = span.context();
       wire_events.push_back(serde::to_bytes(event));
-      metrics.counter("stream.publish." + topic_).inc();
-      metrics.counter("stream.delivered." + topic_).inc(subs);
+      published_total_.get().inc();
+      delivered_total_.get().inc(subs);
     }
     // One pipelined broker append for the whole batch (KvBroker: three kv
     // round trips for N events instead of 3N).
@@ -183,6 +183,8 @@ class StreamProducer {
   std::shared_ptr<PubSub> broker_;
   std::string topic_;
   StreamProducerOptions options_;
+  obs::SiteCounter published_total_;  // "stream.publish.<topic>"
+  obs::SiteCounter delivered_total_;  // "stream.delivered.<topic>"
   std::vector<Pending> pending_;
   std::size_t pending_bytes_ = 0;
   std::uint64_t next_sequence_ = 0;
@@ -212,6 +214,7 @@ class StreamConsumer {
       : broker_(std::move(broker)),
         topic_(std::move(topic)),
         options_(options),
+        consumed_total_("stream.consume." + topic_),
         subscription_(broker_->subscribe(topic_)) {}
 
   /// Blocks for the next event; nullopt at end-of-stream. The returned
@@ -230,7 +233,7 @@ class StreamConsumer {
     // Stitch into the producer's publish span across the broker hop.
     obs::ContextScope adopt(event.trace);
     obs::SpanScope span("stream.consume", topic_);
-    obs::MetricsRegistry::ambient().counter("stream.consume." + topic_).inc();
+    consumed_total_.get().inc();
     ++consumed_;
     core::Proxy<T> proxy = payload_proxy<T>(event);
     if (options_.prefetch_payloads) proxy.resolve_async();
@@ -251,6 +254,7 @@ class StreamConsumer {
   std::shared_ptr<PubSub> broker_;
   std::string topic_;
   StreamConsumerOptions options_;
+  obs::SiteCounter consumed_total_;  // "stream.consume.<topic>"
   std::shared_ptr<Subscription> subscription_;
   std::uint64_t consumed_ = 0;
 };

@@ -13,14 +13,34 @@ namespace ps::swarm {
 
 namespace {
 
-void count(const std::string& name, std::uint64_t n = 1) {
-  if (obs::enabled()) obs::MetricsRegistry::ambient().counter(name).inc(n);
+/// Scheduler series with fixed names.
+struct Series {
+  obs::SiteCounter source_errors{"swarm.source.errors"};
+  obs::SiteCounter source_timeouts{"swarm.source.timeouts"};
+  obs::SiteCounter replicas_absent{"swarm.replicas.absent"};
+  obs::SiteCounter fetched{"swarm.chunks.fetched"};
+  obs::SiteCounter verified{"swarm.chunks.verified"};
+  obs::SiteCounter accepted_late{"swarm.chunks.accepted_late"};
+  obs::SiteCounter corrupt{"swarm.chunks.corrupt"};
+  obs::SiteCounter missing{"swarm.chunks.missing"};
+  obs::SiteCounter unrecoverable{"swarm.chunks.unrecoverable"};
+  obs::SiteCounter repairs{"swarm.repairs"};
+  obs::SiteHistogram chunk_vtime{"swarm.chunk.vtime"};
+};
+
+const Series& series() {
+  static const Series instance;
+  return instance;
 }
 
-void observe(const std::string& name, double seconds) {
-  if (obs::enabled()) {
-    obs::MetricsRegistry::ambient().histogram(name).observe(seconds);
-  }
+void count(const obs::SiteCounter& counter, std::uint64_t n = 1) {
+  if (obs::enabled()) counter.get().inc(n);
+}
+
+/// By name, for the per-source series ("swarm.source.<name>.*"): they are
+/// named at run time and recorded once per chunk batch.
+void count(const std::string& name, std::uint64_t n = 1) {
+  if (obs::enabled()) obs::MetricsRegistry::ambient().counter(name).inc(n);
 }
 
 /// Optimistic service-rate prior (1 GB/s) for sources with no measured
@@ -116,12 +136,12 @@ void ChunkScheduler::discover(double floor_vtime) {
     if (probe.keys.empty() || !sources_[b].alive) continue;
     if (probe.failed) {
       sources_[b].alive = false;
-      count("swarm.source.errors");
+      count(series().source_errors);
       continue;
     }
     for (std::size_t i = 0; i < probe.chunk_idx.size(); ++i) {
       sources_[b].has[probe.chunk_idx[i]] = probe.present[i];
-      if (!probe.present[i]) count("swarm.replicas.absent");
+      if (!probe.present[i]) count(series().replicas_absent);
     }
     sources_[b].frontier_vtime =
         std::max(sources_[b].frontier_vtime, probe.end_vtime);
@@ -181,7 +201,7 @@ std::vector<std::vector<std::size_t>> ChunkScheduler::assign(
       deferred.push_back(c);
     } else {
       unrecoverable_ = true;
-      count("swarm.chunks.unrecoverable");
+      count(series().unrecoverable);
     }
   }
   remaining = std::move(deferred);
@@ -291,17 +311,17 @@ void ChunkScheduler::run_wave(
     WaveSlot& slot = slots[b];
     if (slot.chunks.empty()) continue;
     SourceState& src = sources_[b];
-    count("swarm.chunks.fetched", slot.chunks.size());
+    count(series().fetched, slot.chunks.size());
 
     if (slot.failed) {
       src.alive = false;
-      count("swarm.source.errors");
+      count(series().source_errors);
       for (const std::size_t c : slot.chunks) {
         ChunkState& chunk = chunks_[c];
         chunk.tried.push_back(static_cast<std::uint32_t>(b));
         chunk.floor_vtime = std::max(chunk.floor_vtime, slot.end_vtime);
         repairs.push_back(c);
-        count("swarm.repairs");
+        count(series().repairs);
       }
       continue;
     }
@@ -319,7 +339,7 @@ void ChunkScheduler::run_wave(
     const double give_up = slot.issue_vtime + deadline;
     if (timed_out) {
       src.slow = true;
-      count("swarm.source.timeouts");
+      count(series().source_timeouts);
       count("swarm.source." + backends_[b].name + ".timeouts");
     }
     src.frontier_vtime = std::max(src.frontier_vtime, slot.end_vtime);
@@ -348,33 +368,34 @@ void ChunkScheduler::run_wave(
         // would merge the straggler's vtime into the resolve after all.
         chunk.floor_vtime = std::max(chunk.floor_vtime, give_up);
         repairs.push_back(c);
-        count("swarm.repairs");
+        count(series().repairs);
         continue;
       }
       switch (slot.status[i]) {
         case ChunkStatus::kOk:
           chunk.done = true;
           max_accept_vtime_ = std::max(max_accept_vtime_, slot.end_vtime);
-          count("swarm.chunks.verified");
-          if (timed_out) count("swarm.chunks.accepted_late");
+          count(series().verified);
+          if (timed_out) count(series().accepted_late);
           count("swarm.source." + backends_[b].name + ".chunks");
           count("swarm.source." + backends_[b].name + ".bytes", ref.size);
-          observe("swarm.chunk.vtime",
-                  per_byte * static_cast<double>(ref.size));
+          if (obs::enabled()) {
+            series().chunk_vtime.get().observe(
+                per_byte * static_cast<double>(ref.size));
+          }
           break;
         case ChunkStatus::kCorrupt:
         case ChunkStatus::kMissing: {
-          count(slot.status[i] == ChunkStatus::kCorrupt
-                    ? "swarm.chunks.corrupt"
-                    : "swarm.chunks.missing");
+          count(slot.status[i] == ChunkStatus::kCorrupt ? series().corrupt
+                                                          : series().missing);
           if (has_alternative) {
             // The failure was discovered when the response drained.
             chunk.floor_vtime = std::max(chunk.floor_vtime, slot.end_vtime);
             repairs.push_back(c);
-            count("swarm.repairs");
+            count(series().repairs);
           } else {
             unrecoverable_ = true;
-            count("swarm.chunks.unrecoverable");
+            count(series().unrecoverable);
           }
           break;
         }

@@ -24,10 +24,6 @@ std::string fmt_param(double v) {
   return buf;
 }
 
-void count(const std::string& name, std::uint64_t n = 1) {
-  if (obs::enabled()) obs::MetricsRegistry::ambient().counter(name).inc(n);
-}
-
 }  // namespace
 
 SwarmConnector::SwarmConnector(std::vector<Backend> backends,
@@ -160,8 +156,12 @@ core::Key SwarmConnector::put_chunked(BytesView data) {
     }
   }
 
-  count("swarm.put.bytes", data.size());
-  count("swarm.put.chunks", manifest.chunks.size());
+  if (obs::enabled()) {
+    static const obs::SiteCounter put_bytes("swarm.put.bytes");
+    static const obs::SiteCounter put_chunks("swarm.put.chunks");
+    put_bytes.get().inc(data.size());
+    put_chunks.get().inc(manifest.chunks.size());
+  }
   core::Key key = manifest_key;
   key.meta[kManifestField] = "1";
   return key;
@@ -235,13 +235,11 @@ std::optional<Bytes> SwarmConnector::get_swarm(const core::Key& key) {
   ChunkScheduler scheduler(backends_, decoded, options_, *executor_,
                            key.object_id);
   std::optional<Bytes> payload = scheduler.run();
-  if (payload) {
-    count("swarm.get.bytes", payload->size());
-    if (obs::enabled()) {
-      obs::MetricsRegistry::ambient()
-          .histogram("swarm.get.vtime")
-          .observe(elapsed.elapsed());
-    }
+  if (payload && obs::enabled()) {
+    static const obs::SiteCounter get_bytes("swarm.get.bytes");
+    static const obs::SiteHistogram get_vtime("swarm.get.vtime");
+    get_bytes.get().inc(payload->size());
+    get_vtime.get().observe(elapsed.elapsed());
   }
   return payload;
 }

@@ -738,7 +738,15 @@ class BatchCountingConnector : public Connector {
     get_batch_items += keys.size();
     return inner_->get_batch(keys);
   }
-  bool exists(const Key& key) override { return inner_->exists(key); }
+  bool exists(const Key& key) override {
+    ++exists_calls;
+    return inner_->exists(key);
+  }
+  std::vector<bool> exists_batch(const std::vector<Key>& keys) override {
+    ++exists_batch_calls;
+    exists_batch_items += keys.size();
+    return inner_->exists_batch(keys);
+  }
   void evict(const Key& key) override { inner_->evict(key); }
 
   int puts = 0;
@@ -747,6 +755,9 @@ class BatchCountingConnector : public Connector {
   int gets = 0;
   int get_batch_calls = 0;
   std::size_t get_batch_items = 0;
+  int exists_calls = 0;
+  int exists_batch_calls = 0;
+  std::size_t exists_batch_items = 0;
 
  private:
   std::string type_;
@@ -888,6 +899,35 @@ TEST(Instrumented, GetBatchRecordsBatchSizeMetricAndForwards) {
   ASSERT_NE(items_hist, nullptr);
   EXPECT_EQ(items_hist->count(), 1u);
   EXPECT_DOUBLE_EQ(items_hist->mean(), 3.0);
+}
+
+TEST(Instrumented, ExistsBatchRecordsBatchSizeMetricAndForwards) {
+  obs::set_enabled(true);
+  auto world = proc::World::make_local();
+  proc::ProcessScope scope(world->spawn("p", "localhost"));
+  auto counting =
+      std::make_shared<BatchCountingConnector>("exists-batch-metric");
+  InstrumentedConnector instrumented(counting);
+  std::vector<Key> keys = instrumented.put_batch(
+      {pattern_bytes(10, 0), pattern_bytes(20, 1), pattern_bytes(30, 2)});
+  keys.push_back(Key{.object_id = "never-stored", .meta = {}});
+  EXPECT_EQ(instrumented.exists_batch(keys),
+            (std::vector<bool>{true, true, true, false}));
+  // Forwarded as one bulk call, not unrolled through exists().
+  EXPECT_EQ(counting->exists_batch_calls, 1);
+  EXPECT_EQ(counting->exists_batch_items, 4u);
+  EXPECT_EQ(counting->exists_calls, 0);
+  auto& registry = obs::MetricsRegistry::global();
+  EXPECT_EQ(
+      registry.counter("connector.exists-batch-metric.exists_batch").value(),
+      1u);
+  EXPECT_EQ(registry.counter("connector.exists-batch-metric.exists").value(),
+            0u);
+  const obs::Histogram* items_hist = registry.find_histogram(
+      "connector.exists-batch-metric.exists_batch.items");
+  ASSERT_NE(items_hist, nullptr);
+  EXPECT_EQ(items_hist->count(), 1u);
+  EXPECT_DOUBLE_EQ(items_hist->mean(), 4.0);
 }
 
 // ------------------------------------------------- connector registry ----
