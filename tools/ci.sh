@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI pass:
+#   0. lint: no MetricsRegistry::ambient() under src/core, src/kv or
+#      src/net — the path perfbench measures records through
+#      obs::SiteMetric handles, never a by-name registry lookup per op;
 #   1. tier-1: configure + build + the complete ctest suite;
 #   2. tier-2: TSan build (-DPS_SANITIZE=thread) running the
 #      concurrency-sensitive tests (`ctest -L tier2`), then an ASan+UBSan
@@ -57,6 +60,12 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 SKIP_TSAN=0
 [[ "${1:-}" == "--skip-tsan" ]] && SKIP_TSAN=1
+
+echo "==> lint: no by-name ambient registry lookups on the perfbench path"
+if grep -rn 'MetricsRegistry::ambient()' src/core src/kv src/net; then
+  echo "lint: record through an obs::SiteMetric handle (obs/metrics.hpp)" >&2
+  exit 1
+fi
 
 echo "==> tier-1: build + full test suite"
 cmake -B build -S . >/dev/null
