@@ -695,7 +695,6 @@ Factory<T> make_descriptor_factory(FactoryDescriptor descriptor) {
     // Resolves record into the global registry whatever the scoping.
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     static obs::Counter& resolves = registry.counter("proxy.resolves");
-    static obs::Counter& failures = registry.counter("proxy.resolve_failures");
     static obs::Histogram& vtime = registry.histogram("proxy.resolve.vtime");
     static obs::Histogram& wall = registry.histogram("proxy.resolve.wall");
     resolves.inc();
@@ -725,6 +724,8 @@ Factory<T> make_descriptor_factory(FactoryDescriptor descriptor) {
       value = store->get<T>(descriptor.key);
     }
     if (!value) {
+      static obs::Counter& failures =
+          registry.counter("proxy.resolve_failures");
       failures.inc();
       throw ProxyResolutionError("proxy target '" +
                                  descriptor.key.canonical() +
