@@ -5,7 +5,9 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
@@ -40,8 +42,20 @@ struct ConnectorEnv {
     process = &world->spawn("proc", "host");
   }
 
+  ~ConnectorEnv() {
+    std::error_code ec;
+    for (const fs::path& dir : dirs) fs::remove_all(dir, ec);
+  }
+
+  /// A fresh path under the temp directory, removed with the env.
+  fs::path scratch_dir(const std::string& prefix) {
+    dirs.push_back(fs::temp_directory_path() / (prefix + Uuid::random().str()));
+    return dirs.back();
+  }
+
   std::unique_ptr<proc::World> world;
   proc::Process* process = nullptr;
+  std::vector<fs::path> dirs;
 };
 
 using ConnectorFactory =
@@ -202,6 +216,27 @@ TEST_P(ConnectorLaws, AddressedWritesWhenSupported) {
   EXPECT_EQ(connector_->get(key), "overwritten");
 }
 
+TEST_P(ConnectorLaws, AsyncVerbsAgreeWithSyncTwins) {
+  // Every connector serves the futures-based verbs, natively or through the
+  // executor adapter, with the same results as the sync verbs.
+  const Bytes data = pattern_bytes(1000, 4);
+  const core::Key key = connector_->put_async(data).get();
+  EXPECT_EQ(connector_->get_async(key).get(), data);
+  EXPECT_TRUE(connector_->exists_async(key).get());
+  connector_->evict_async(key).get();
+  EXPECT_FALSE(connector_->exists_async(key).get());
+  EXPECT_EQ(connector_->get_async(key).get(), std::nullopt);
+
+  std::vector<core::Key> keys = connector_->put_batch({"a", "bb", "ccc"});
+  keys.insert(keys.begin() + 1, key);  // evicted: nullopt in both forms
+  const auto batch = connector_->get_batch_async(keys).get();
+  EXPECT_EQ(batch, connector_->get_batch(keys));
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_EQ(batch[0], "a");
+  EXPECT_EQ(batch[1], std::nullopt);
+  EXPECT_EQ(batch[3], "ccc");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllConnectors, ConnectorLaws,
     ::testing::Values(
@@ -210,11 +245,9 @@ INSTANTIATE_TEST_SUITE_P(
                         return std::make_shared<LocalConnector>();
                       }},
         ConnectorCase{"file",
-                      [](ConnectorEnv&) {
-                        const fs::path dir =
-                            fs::temp_directory_path() /
-                            ("ps_file_laws_" + Uuid::random().str());
-                        return std::make_shared<FileConnector>(dir);
+                      [](ConnectorEnv& env) {
+                        return std::make_shared<FileConnector>(
+                            env.scratch_dir("ps_file_laws_"));
                       }},
         ConnectorCase{"redis",
                       [](ConnectorEnv& env) {
@@ -242,8 +275,7 @@ INSTANTIATE_TEST_SUITE_P(
                         auto service = globus::TransferService::start(
                             *env.world);
                         const fs::path base =
-                            fs::temp_directory_path() /
-                            ("ps_globus_laws_" + Uuid::random().str());
+                            env.scratch_dir("ps_globus_laws_");
                         const Uuid a =
                             service->register_endpoint("host", base / "a");
                         const Uuid b =
