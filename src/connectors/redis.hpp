@@ -37,14 +37,11 @@ class RedisConnector : public core::Connector {
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
 
-  // Completion-driven wire ops: each issues onto the kv channel and returns
-  // a future stamped at its own pipelined completion vtime — no executor
+  // Completion-driven reads: each issues onto the kv channel and returns a
+  // future stamped at its own pipelined completion vtime — no executor
   // worker is occupied while the request is in flight, and N outstanding
-  // ops on one channel overlap transfer and FIFO service.
+  // reads on one channel overlap transfer and FIFO service.
   core::Future<std::optional<Bytes>> get_async(const core::Key& key) override;
-  core::Future<core::Key> put_async(BytesView data) override;
-  core::Future<bool> exists_async(const core::Key& key) override;
-  core::Future<core::Unit> evict_async(const core::Key& key) override;
   core::Future<std::vector<std::optional<Bytes>>> get_batch_async(
       const std::vector<core::Key>& keys) override;
 

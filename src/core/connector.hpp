@@ -135,9 +135,14 @@ class Connector {
   // -- asynchronous protocol ------------------------------------------------
   //
   // Every sync operation has a futures-based twin. The defaults adapt the
-  // sync op through the shared bounded AsyncExecutor — existing connectors
-  // work unchanged — while natively non-blocking channels override them to
-  // pipeline without an executor hop (LocalConnector completes inline).
+  // sync op through the shared bounded AsyncExecutor, so every connector
+  // supports all five. Only the read verbs have native completion-driven
+  // paths (Redis and Endpoint, plus Local's inline get_async; Multi and the
+  // decorators forward them), because the Store's async resolve and the
+  // swarm scheduler issue them. put_async, exists_async and evict_async
+  // always run through the adapter. They stay virtual only because the
+  // benchmark's TimedConnector (perfbench/) overrides all twenty verbs of
+  // this class; shrinking the surface has to change that decorator first.
   // Contract: the connector must outlive any future it returned; waiting a
   // future merges the operation's virtual completion time (core/future.hpp).
 

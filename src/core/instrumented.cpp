@@ -27,9 +27,6 @@ InstrumentedConnector::InstrumentedConnector(std::shared_ptr<Connector> inner)
       exists_batch_(inner_->type(), "exists_batch", /*batch=*/true),
       evict_batch_(inner_->type(), "evict_batch", /*batch=*/true),
       get_async_(inner_->type(), "get_async"),
-      put_async_(inner_->type(), "put_async"),
-      exists_async_(inner_->type(), "exists_async"),
-      evict_async_(inner_->type(), "evict_async"),
       get_batch_async_(inner_->type(), "get_batch_async") {}
 
 std::shared_ptr<Connector> InstrumentedConnector::wrap(
@@ -118,18 +115,6 @@ Future<T> InstrumentedConnector::record_async(const Op& op, Future<T> future) {
 
 Future<std::optional<Bytes>> InstrumentedConnector::get_async(const Key& key) {
   return record_async(get_async_, inner_->get_async(key));
-}
-
-Future<Key> InstrumentedConnector::put_async(BytesView data) {
-  return record_async(put_async_, inner_->put_async(data));
-}
-
-Future<bool> InstrumentedConnector::exists_async(const Key& key) {
-  return record_async(exists_async_, inner_->exists_async(key));
-}
-
-Future<Unit> InstrumentedConnector::evict_async(const Key& key) {
-  return record_async(evict_async_, inner_->evict_async(key));
 }
 
 Future<std::vector<std::optional<Bytes>>>

@@ -47,15 +47,14 @@ class InstrumentedConnector : public Connector {
   void evict_batch(const std::vector<Key>& keys) override;
   void close() override;
 
-  // Async ops forward to the inner connector's async path and record
+  // Async reads forward to the inner connector's async path and record
   // end-to-end latency (submit → completion) via an on_ready continuation.
   // The queue-wait vs service-time split for adapter-backed ops lives in
   // the async.executor.* histograms, where both sides of the hand-off are
-  // visible.
+  // visible. put_async, exists_async and evict_async reach the base
+  // adapter, which runs this decorator's sync verb, so they record as
+  // put, exists and evict.
   Future<std::optional<Bytes>> get_async(const Key& key) override;
-  Future<Key> put_async(BytesView data) override;
-  Future<bool> exists_async(const Key& key) override;
-  Future<Unit> evict_async(const Key& key) override;
   Future<std::vector<std::optional<Bytes>>> get_batch_async(
       const std::vector<Key>& keys) override;
 
@@ -96,9 +95,6 @@ class InstrumentedConnector : public Connector {
   Op exists_batch_;
   Op evict_batch_;
   Op get_async_;
-  Op put_async_;
-  Op exists_async_;
-  Op evict_async_;
   Op get_batch_async_;
 };
 

@@ -92,32 +92,39 @@ Key MultiConnector::put_hinted(BytesView data, const PutHints& hints) {
   return key;
 }
 
+template <typename T, typename Owner, typename Fn>
+void MultiConnector::for_each_child(const std::vector<T>& items, Owner owner,
+                                    Fn fn) const {
+  std::vector<std::vector<std::size_t>> positions(entries_.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const Entry& entry = owner(items[i]);
+    positions[&entry - entries_.data()].push_back(i);
+  }
+  for (std::size_t e = 0; e < entries_.size(); ++e) {
+    if (positions[e].empty()) continue;
+    std::vector<T> group;
+    group.reserve(positions[e].size());
+    for (const std::size_t i : positions[e]) group.push_back(items[i]);
+    fn(entries_[e], group, positions[e]);
+  }
+}
+
 std::vector<Key> MultiConnector::put_batch(const std::vector<Bytes>& items) {
   // Group items per selected child so bulk-capable children still batch.
   std::vector<Key> keys(items.size());
-  std::vector<std::size_t> order(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return &select(items[a].size(), {}) < &select(items[b].size(), {});
-  });
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const Entry& entry = select(items[order[start]].size(), {});
-    std::size_t end = start;
-    std::vector<Bytes> group;
-    while (end < order.size() &&
-           &select(items[order[end]].size(), {}) == &entry) {
-      group.push_back(items[order[end]]);
-      ++end;
-    }
-    std::vector<Key> group_keys = entry.connector->put_batch(group);
-    for (std::size_t j = 0; j < group_keys.size(); ++j) {
-      group_keys[j].meta[kChildField] = entry.name;
-      keys[order[start + j]] = std::move(group_keys[j]);
-    }
-    start = end;
-  }
+  for_each_child(
+      items,
+      [&](const Bytes& item) -> const Entry& {
+        return select(item.size(), {});
+      },
+      [&](const Entry& entry, const std::vector<Bytes>& group,
+          const std::vector<std::size_t>& at) {
+        std::vector<Key> group_keys = entry.connector->put_batch(group);
+        for (std::size_t j = 0; j < group_keys.size(); ++j) {
+          group_keys[j].meta[kChildField] = entry.name;
+          keys[at[j]] = std::move(group_keys[j]);
+        }
+      });
   return keys;
 }
 
@@ -136,31 +143,17 @@ std::optional<Bytes> MultiConnector::get(const Key& key) {
 
 std::vector<std::optional<Bytes>> MultiConnector::get_batch(
     const std::vector<Key>& keys) {
-  // Group keys per owning child so bulk-capable children still batch
-  // (mirrors put_batch's per-child grouping on the read side).
   std::vector<std::optional<Bytes>> out(keys.size());
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return &child_for(keys[a]) < &child_for(keys[b]);
-                   });
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const Entry& entry = child_for(keys[order[start]]);
-    std::size_t end = start;
-    std::vector<Key> group;
-    while (end < order.size() && &child_for(keys[order[end]]) == &entry) {
-      group.push_back(keys[order[end]]);
-      ++end;
-    }
-    std::vector<std::optional<Bytes>> group_out =
-        entry.connector->get_batch(group);
-    for (std::size_t j = 0; j < group_out.size(); ++j) {
-      out[order[start + j]] = std::move(group_out[j]);
-    }
-    start = end;
-  }
+  for_each_child(
+      keys, [&](const Key& key) -> const Entry& { return child_for(key); },
+      [&](const Entry& entry, const std::vector<Key>& group,
+          const std::vector<std::size_t>& at) {
+        std::vector<std::optional<Bytes>> got =
+            entry.connector->get_batch(group);
+        for (std::size_t j = 0; j < got.size(); ++j) {
+          out[at[j]] = std::move(got[j]);
+        }
+      });
   return out;
 }
 
@@ -168,42 +161,19 @@ Future<std::optional<Bytes>> MultiConnector::get_async(const Key& key) {
   return child_for(key).connector->get_async(key);
 }
 
-Future<bool> MultiConnector::exists_async(const Key& key) {
-  return child_for(key).connector->exists_async(key);
-}
-
-Future<Unit> MultiConnector::evict_async(const Key& key) {
-  return child_for(key).connector->evict_async(key);
-}
-
 bool MultiConnector::exists(const Key& key) {
   return child_for(key).connector->exists(key);
 }
 
 std::vector<bool> MultiConnector::exists_batch(const std::vector<Key>& keys) {
-  // Same per-child grouping as get_batch, on the presence-probe side.
   std::vector<bool> out(keys.size());
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return &child_for(keys[a]) < &child_for(keys[b]);
-                   });
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const Entry& entry = child_for(keys[order[start]]);
-    std::size_t end = start;
-    std::vector<Key> group;
-    while (end < order.size() && &child_for(keys[order[end]]) == &entry) {
-      group.push_back(keys[order[end]]);
-      ++end;
-    }
-    const std::vector<bool> group_out = entry.connector->exists_batch(group);
-    for (std::size_t j = 0; j < group_out.size(); ++j) {
-      out[order[start + j]] = group_out[j];
-    }
-    start = end;
-  }
+  for_each_child(
+      keys, [&](const Key& key) -> const Entry& { return child_for(key); },
+      [&](const Entry& entry, const std::vector<Key>& group,
+          const std::vector<std::size_t>& at) {
+        const std::vector<bool> got = entry.connector->exists_batch(group);
+        for (std::size_t j = 0; j < got.size(); ++j) out[at[j]] = got[j];
+      });
   return out;
 }
 
@@ -212,25 +182,12 @@ void MultiConnector::evict(const Key& key) {
 }
 
 void MultiConnector::evict_batch(const std::vector<Key>& keys) {
-  // Same per-child grouping as get_batch, on the cleanup side.
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return &child_for(keys[a]) < &child_for(keys[b]);
-                   });
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const Entry& entry = child_for(keys[order[start]]);
-    std::size_t end = start;
-    std::vector<Key> group;
-    while (end < order.size() && &child_for(keys[order[end]]) == &entry) {
-      group.push_back(keys[order[end]]);
-      ++end;
-    }
-    entry.connector->evict_batch(group);
-    start = end;
-  }
+  for_each_child(
+      keys, [&](const Key& key) -> const Entry& { return child_for(key); },
+      [](const Entry& entry, const std::vector<Key>& group,
+         const std::vector<std::size_t>&) {
+        entry.connector->evict_batch(group);
+      });
 }
 
 Future<std::vector<std::optional<Bytes>>> MultiConnector::get_batch_async(

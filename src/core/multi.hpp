@@ -76,11 +76,9 @@ class MultiConnector : public Connector {
   void evict_batch(const std::vector<Key>& keys) override;
   void close() override;
 
-  // Async ops route to the owning child's native implementation (an
-  // executor hop only where the child itself falls back to the adapter).
+  /// Routes to the owning child's native get_async (an executor hop only
+  /// where the child itself falls back to the adapter).
   Future<std::optional<Bytes>> get_async(const Key& key) override;
-  Future<bool> exists_async(const Key& key) override;
-  Future<Unit> evict_async(const Key& key) override;
   /// Single-child batches forward to the child's native get_batch_async;
   /// cross-child batches fall back to the sync grouped get_batch through
   /// the executor adapter.
@@ -95,6 +93,13 @@ class MultiConnector : public Connector {
 
  private:
   const Entry& child_for(const Key& key) const;
+
+  /// Calls fn(entry, group, positions) once per child that owns at least
+  /// one of `items`, in entries_ order. `owner` runs once per item; `group`
+  /// holds that child's items and `positions` their indices in `items`,
+  /// both in input order.
+  template <typename T, typename Owner, typename Fn>
+  void for_each_child(const std::vector<T>& items, Owner owner, Fn fn) const;
 
   std::vector<Entry> entries_;
 };

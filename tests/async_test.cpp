@@ -109,20 +109,6 @@ TEST(Future, OnReadyRunsInlineWhenAlreadyComplete) {
   EXPECT_EQ(callback_thread, std::this_thread::get_id());
 }
 
-TEST(Future, ThenTransformsValueAndPropagatesError) {
-  Promise<int> promise;
-  Future<int> doubled =
-      promise.future().then([](const int& v) { return v * 2; });
-  promise.set_value(21);
-  EXPECT_EQ(doubled.get(), 42);
-
-  Promise<int> failing;
-  Future<int> derived =
-      failing.future().then([](const int& v) { return v + 1; });
-  failing.set_error(std::make_exception_ptr(Error("upstream")));
-  EXPECT_THROW(derived.get(), Error);
-}
-
 // ------------------------------------------------------------- executor ----
 
 /// Fixture giving each test a one-host world and a process to run in, so
@@ -434,10 +420,9 @@ TEST_F(AsyncTest, DefaultAsyncAdaptersRideTheSharedExecutor) {
 TEST_F(AsyncTest, LocalConnectorAsyncOpsCompleteInline) {
   proc::ProcessScope scope(*process_);
   LocalConnector connector;
-  Future<Key> put = connector.put_async(Bytes("abc"));
-  EXPECT_TRUE(put.ready());  // native override: no executor hop
-  Future<std::optional<Bytes>> get = connector.get_async(put.wait());
-  EXPECT_TRUE(get.ready());
+  const Key key = connector.put(Bytes("abc"));
+  Future<std::optional<Bytes>> get = connector.get_async(key);
+  EXPECT_TRUE(get.ready());  // native override: no executor hop
   EXPECT_EQ(*get.wait(), "abc");
 }
 

@@ -532,9 +532,10 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
       store->exists(core::Key{.object_id = "no-such-object", .meta = {}});
     }
 
-    // Async path: batched + pipelined gets and an async proxy resolve, so
-    // the async.executor.* queue/saturation metrics and the per-connector
-    // *_async / get_batch series have data.
+    // Async path: batched + pipelined gets, an executor-adapted
+    // exists_async (it records as connector.file.exists) and an async proxy
+    // resolve, so the async.executor.* queue/saturation metrics and the
+    // per-connector get_async / get_batch series have data.
     {
       std::vector<std::string> values(8, std::string(1024, 'a'));
       const std::vector<core::Key> keys = local->put_batch(values);
