@@ -78,6 +78,32 @@ void AccessControlConnector::evict_batch(const std::vector<core::Key>& keys) {
   inner_->evict_batch(keys);
 }
 
+template <typename T, typename Issue>
+core::Future<T> AccessControlConnector::checked_async(const core::Key& key,
+                                                      Issue issue) const {
+  try {
+    check_access(key);
+  } catch (const AccessDeniedError&) {
+    core::Promise<T> denied;
+    denied.set_error(std::current_exception());
+    return denied.future();
+  }
+  return issue();
+}
+
+core::Future<std::optional<Bytes>> AccessControlConnector::get_async(
+    const core::Key& key) {
+  return checked_async<std::optional<Bytes>>(
+      key, [&] { return inner_->get_async(key); });
+}
+
+core::Future<std::vector<std::optional<Bytes>>>
+AccessControlConnector::get_batch_async(const std::vector<core::Key>& keys) {
+  if (keys.empty()) return inner_->get_batch_async(keys);
+  return checked_async<std::vector<std::optional<Bytes>>>(
+      keys.front(), [&] { return inner_->get_batch_async(keys); });
+}
+
 bool AccessControlConnector::put_at(const core::Key& key, BytesView data) {
   return inner_->put_at(key, data);
 }

@@ -47,6 +47,13 @@ class AccessControlConnector : public core::Connector {
       const std::vector<core::Key>& keys) override;
   std::vector<bool> exists_batch(const std::vector<core::Key>& keys) override;
   void evict_batch(const std::vector<core::Key>& keys) override;
+  // Async reads check the site when called and return the inner
+  // connector's own future, so a completion-driven inner store parks no
+  // executor worker. A denied site gets a future failed with
+  // AccessDeniedError and no inner call is made.
+  core::Future<std::optional<Bytes>> get_async(const core::Key& key) override;
+  core::Future<std::vector<std::optional<Bytes>>> get_batch_async(
+      const std::vector<core::Key>& keys) override;
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
   void close() override { inner_->close(); }
@@ -56,6 +63,11 @@ class AccessControlConnector : public core::Connector {
  private:
   /// Throws AccessDeniedError unless the current process's site is allowed.
   void check_access(const core::Key& key) const;
+
+  /// `issue()` when the caller's site may read `key`; otherwise a future
+  /// failed with AccessDeniedError, without calling `issue`.
+  template <typename T, typename Issue>
+  core::Future<T> checked_async(const core::Key& key, Issue issue) const;
 
   std::shared_ptr<core::Connector> inner_;
   std::set<std::string> allowed_;

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/connector.hpp"
 
@@ -59,6 +60,9 @@ class FaultInjectedConnector : public core::Connector {
     return inner_->exists_batch(keys);
   }
   void evict(const core::Key& key) override { inner_->evict(key); }
+  void evict_batch(const std::vector<core::Key>& keys) override {
+    inner_->evict_batch(keys);
+  }
   void close() override { inner_->close(); }
 
  private:

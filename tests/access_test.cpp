@@ -4,7 +4,10 @@
 
 #include "connectors/access.hpp"
 #include "connectors/local.hpp"
+#include "connectors/redis.hpp"
 #include "core/store.hpp"
+#include "kv/server.hpp"
+#include "obs/metrics.hpp"
 #include "proc/world.hpp"
 #include "serde/serde.hpp"
 
@@ -218,6 +221,43 @@ TEST_F(AccessTest, DeniedSiteBatchThrowsBeforeAnyInnerCall) {
   proc::ProcessScope scope(*cloud_);
   EXPECT_THROW(connector.get_batch(keys), AccessDeniedError);
   EXPECT_THROW(connector.exists_batch(keys), AccessDeniedError);
+  EXPECT_EQ(counting->batch_calls, 0);
+  EXPECT_EQ(counting->single_calls, 0);
+}
+
+TEST_F(AccessTest, AsyncReadsKeepTheInnerStoresNativeFuture) {
+  // A fenced Redis store reads completion-driven: the fence checks the site
+  // once per call and parks no executor worker.
+  {
+    proc::ProcessScope scope(*hospital_);
+    kv::KvServer::start(*world_, "hospital-node", "phi-kv");
+  }
+  proc::ProcessScope scope(*hpc_);
+  AccessControlConnector connector(
+      std::make_shared<RedisConnector>(kv::kv_address("hospital-node",
+                                                      "phi-kv")),
+      {"hospital", "hpc"});
+  const std::vector<core::Key> keys = {connector.put("a"), connector.put("b")};
+  obs::Counter& submitted =
+      obs::MetricsRegistry::global().counter("async.executor.submitted");
+  const std::uint64_t before = submitted.value();
+  EXPECT_EQ(connector.get_async(keys[1]).get(), "b");
+  EXPECT_EQ(connector.get_batch_async(keys).get(),
+            (std::vector<std::optional<Bytes>>{"a", "b"}));
+  EXPECT_EQ(submitted.value(), before);
+}
+
+TEST_F(AccessTest, DeniedSiteAsyncReadFailsBeforeAnyInnerCall) {
+  auto counting = std::make_shared<CountingConnector>();
+  AccessControlConnector connector(counting, {"hospital", "hpc"});
+  std::vector<core::Key> keys;
+  {
+    proc::ProcessScope scope(*hospital_);
+    keys = {connector.put("a"), connector.put("b")};
+  }
+  proc::ProcessScope scope(*cloud_);
+  EXPECT_THROW(connector.get_async(keys[0]).get(), AccessDeniedError);
+  EXPECT_THROW(connector.get_batch_async(keys).get(), AccessDeniedError);
   EXPECT_EQ(counting->batch_calls, 0);
   EXPECT_EQ(counting->single_calls, 0);
 }

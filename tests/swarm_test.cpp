@@ -144,6 +144,35 @@ TEST(SwarmConnector, EvictRemovesManifestAndChunks) {
   EXPECT_EQ(env.connector->get(key), std::nullopt);
 }
 
+/// A LocalConnector that counts the evict calls reaching it, single key and
+/// batch apart.
+class EvictCountingConnector : public connectors::LocalConnector {
+ public:
+  void evict(const core::Key& key) override {
+    ++single_calls;
+    LocalConnector::evict(key);
+  }
+  void evict_batch(const std::vector<core::Key>& keys) override {
+    ++batch_calls;
+    for (const core::Key& key : keys) LocalConnector::evict(key);
+  }
+
+  int single_calls = 0;
+  int batch_calls = 0;
+};
+
+TEST(FaultInjectedConnector, EvictBatchForwardsAsOneInnerCall) {
+  SwarmEnv env;
+  auto counting = std::make_shared<EvictCountingConnector>();
+  FaultInjectedConnector faulty(counting);
+  const std::vector<core::Key> keys = {faulty.put("a"), faulty.put("b"),
+                                       faulty.put("c")};
+  faulty.evict_batch(keys);
+  EXPECT_EQ(counting->batch_calls, 1);
+  EXPECT_EQ(counting->single_calls, 0);
+  EXPECT_EQ(faulty.exists_batch(keys), (std::vector<bool>{false, false, false}));
+}
+
 TEST(SwarmConnector, CorruptChunkIsReRequestedFromAnotherReplica) {
   SwarmEnv env;
   const Bytes payload = pattern_bytes(1'000'000, 13);
