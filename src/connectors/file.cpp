@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "common/file.hpp"
 #include "common/uuid.hpp"
 #include "connectors/costs.hpp"
 
@@ -51,16 +52,7 @@ bool FileConnector::put_at(const core::Key& key, BytesView data) {
   const fs::path path = path_for(key);
   // Write-then-rename gives readers an all-or-nothing view of the object.
   const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw ConnectorError("FileConnector: cannot open " + tmp.string());
-    }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    if (!out) {
-      throw ConnectorError("FileConnector: short write to " + tmp.string());
-    }
-  }
+  write_file(tmp, data);
   fs::rename(tmp, path);
   charge_disk_write(data.size());
   return true;

@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "common/file.hpp"
 #include "common/uuid.hpp"
 #include "connectors/costs.hpp"
 
@@ -60,12 +61,7 @@ std::vector<core::Key> GlobusConnector::put_batch(
   files.reserve(items.size());
   for (const Bytes& item : items) {
     core::Key key{.object_id = Uuid::random().str(), .meta = {}};
-    const fs::path path = dir / key.object_id;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw ConnectorError("GlobusConnector: cannot write " + path.string());
-    }
-    out.write(item.data(), static_cast<std::streamsize>(item.size()));
+    write_file(dir / key.object_id, item);
     charge_disk_write(item.size());
     key.meta["source"] = local.endpoint.str();
     files.push_back(key.object_id);

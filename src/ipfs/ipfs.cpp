@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/hash.hpp"
 #include "proc/process.hpp"
 #include "serde/serde.hpp"
@@ -53,10 +54,7 @@ void IpfsNode::write_block(const std::string& hash, BytesView data) {
     std::lock_guard lock(mu_);
     if (blocks_.contains(hash)) return;  // content-addressed: dedup
   }
-  const fs::path path = block_dir_ / hash;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw Error("IpfsNode: cannot write block " + path.string());
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  write_file(block_dir_ / hash, data);
   sim::vadvance(world_.fabric().disk_write_time(host_, data.size()));
   std::lock_guard lock(mu_);
   blocks_.insert(hash);

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/hash.hpp"
 #include "common/hex.hpp"
 #include "common/queue.hpp"
@@ -61,6 +66,39 @@ TEST(Bytes, ParseSize) {
 TEST(Bytes, ParseSizeRejectsJunk) {
   EXPECT_THROW(parse_size("abc"), std::invalid_argument);
   EXPECT_THROW(parse_size("10XB"), std::invalid_argument);
+}
+
+// ----------------------------------------------------------------- file ----
+
+TEST(WriteFile, WritesEveryByte) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ps_write_file_" + Uuid::random().str());
+  const Bytes data = pattern_bytes(100'000, 5);
+  write_file(path, data);
+  write_file(path, data);  // replaces, never appends
+  std::ifstream in(path, std::ios::binary);
+  const Bytes back((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  std::filesystem::remove(path);
+  EXPECT_EQ(back, data);
+}
+
+TEST(WriteFile, ThrowsOnAShortWrite) {
+  // /dev/full opens but fails every write with ENOSPC: a full disk without
+  // filling one. A small payload fails only at the flush on close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(write_file("/dev/full", "x"), ConnectorError);
+  EXPECT_THROW(write_file("/dev/full", pattern_bytes(1 << 20)),
+               ConnectorError);
+}
+
+TEST(WriteFile, ThrowsWhenThePathCannotBeOpened) {
+  const std::filesystem::path missing =
+      std::filesystem::temp_directory_path() /
+      ("ps_no_such_dir_" + Uuid::random().str()) / "object";
+  EXPECT_THROW(write_file(missing, "x"), ConnectorError);
 }
 
 // ----------------------------------------------------------------- hash ----
