@@ -402,9 +402,8 @@ TEST(Trace, RecordsDualTimestampsInOrder) {
   sim::vadvance(0.125);
   recorder.record("subj", "first");
   sim::vadvance(0.5);
-  {
-    Span span("subj", "work");
-  }
+  recorder.record("subj", "work.start");
+  recorder.record("subj", "work.done");
   recorder.set_enabled(false);
   recorder.record("subj", "dropped");  // disabled: must not record
 
