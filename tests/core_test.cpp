@@ -856,6 +856,52 @@ TEST_F(MultiTest, GetBatchForwardsGroupsAsBatches) {
   EXPECT_EQ(large->gets, 0);
 }
 
+// Logs the object ids of every evict_batch reaching it, tagged with its name.
+class EvictLoggingConnector : public LocalConnector {
+ public:
+  using Log = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+  EvictLoggingConnector(std::string name, Log& log)
+      : name_(std::move(name)), log_(log) {}
+
+  void evict_batch(const std::vector<Key>& keys) override {
+    std::vector<std::string> ids;
+    for (const Key& key : keys) ids.push_back(key.object_id);
+    log_.emplace_back(name_, std::move(ids));
+    LocalConnector::evict_batch(keys);
+  }
+
+ private:
+  std::string name_;
+  Log& log_;
+};
+
+TEST_F(MultiTest, BatchGroupsFollowEntryOrderAndKeepInputOrder) {
+  // One call per child, children in entry order, each group in input
+  // order: the call sequence (and so every vtime) batch routing produces.
+  proc::ProcessScope scope(*producer_);
+  EvictLoggingConnector::Log log;
+  Policy small_policy;
+  small_policy.max_size = 1000;
+  small_policy.priority = 1;
+  MultiConnector multi(std::vector<MultiConnector::Entry>{
+      {"small", std::make_shared<EvictLoggingConnector>("small", log),
+       small_policy},
+      {"large", std::make_shared<EvictLoggingConnector>("large", log),
+       Policy{}}});
+  const std::vector<Key> keys = multi.put_batch(
+      {pattern_bytes(4000, 0), pattern_bytes(10, 1), pattern_bytes(8000, 2),
+       pattern_bytes(20, 3)});
+  multi.evict_batch(keys);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].first, "small");
+  EXPECT_EQ(log[0].second, (std::vector<std::string>{keys[1].object_id,
+                                                     keys[3].object_id}));
+  EXPECT_EQ(log[1].first, "large");
+  EXPECT_EQ(log[1].second, (std::vector<std::string>{keys[0].object_id,
+                                                     keys[2].object_id}));
+}
+
 TEST(Instrumented, PutBatchRecordsBatchSizeMetricAndForwards) {
   obs::set_enabled(true);
   auto world = proc::World::make_local();

@@ -170,7 +170,8 @@ TEST(FaultInjectedConnector, EvictBatchForwardsAsOneInnerCall) {
   faulty.evict_batch(keys);
   EXPECT_EQ(counting->batch_calls, 1);
   EXPECT_EQ(counting->single_calls, 0);
-  EXPECT_EQ(faulty.exists_batch(keys), (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(faulty.exists_batch(keys),
+            (std::vector<bool>{false, false, false}));
 }
 
 TEST(SwarmConnector, CorruptChunkIsReRequestedFromAnotherReplica) {
