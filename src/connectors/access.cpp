@@ -78,9 +78,9 @@ void AccessControlConnector::evict_batch(const std::vector<core::Key>& keys) {
   inner_->evict_batch(keys);
 }
 
-template <typename T, typename Issue>
+template <typename T, typename Read>
 core::Future<T> AccessControlConnector::checked_async(const core::Key& key,
-                                                      Issue issue) const {
+                                                      Read read) const {
   try {
     check_access(key);
   } catch (const AccessDeniedError&) {
@@ -88,7 +88,7 @@ core::Future<T> AccessControlConnector::checked_async(const core::Key& key,
     denied.set_error(std::current_exception());
     return denied.future();
   }
-  return issue();
+  return read();
 }
 
 core::Future<std::optional<Bytes>> AccessControlConnector::get_async(

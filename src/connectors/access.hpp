@@ -64,10 +64,10 @@ class AccessControlConnector : public core::Connector {
   /// Throws AccessDeniedError unless the current process's site is allowed.
   void check_access(const core::Key& key) const;
 
-  /// `issue()` when the caller's site may read `key`; otherwise a future
-  /// failed with AccessDeniedError, without calling `issue`.
-  template <typename T, typename Issue>
-  core::Future<T> checked_async(const core::Key& key, Issue issue) const;
+  /// `read()` when the caller's site may read `key`; otherwise a future
+  /// failed with AccessDeniedError, without calling `read`.
+  template <typename T, typename Read>
+  core::Future<T> checked_async(const core::Key& key, Read read) const;
 
   std::shared_ptr<core::Connector> inner_;
   std::set<std::string> allowed_;

@@ -37,7 +37,7 @@ class RedisConnector : public core::Connector {
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
 
-  // Completion-driven reads: each issues onto the kv channel and returns a
+  // Completion-driven reads: each goes out on the kv channel and returns a
   // future stamped at its own pipelined completion vtime — no executor
   // worker is occupied while the request is in flight, and N outstanding
   // reads on one channel overlap transfer and FIFO service.

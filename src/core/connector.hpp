@@ -139,7 +139,7 @@ class Connector {
   // supports all five. Only the read verbs have native completion-driven
   // paths (Redis and Endpoint, plus Local's inline get_async; Multi and the
   // decorators forward them), because the Store's async resolve and the
-  // swarm scheduler issue them. put_async, exists_async and evict_async
+  // swarm scheduler call them. put_async, exists_async and evict_async
   // always run through the adapter. They stay virtual only because the
   // benchmark's TimedConnector (perfbench/) overrides all twenty verbs of
   // this class; shrinking the surface has to change that decorator first.
