@@ -1919,6 +1919,54 @@ TEST(FlightRecorder, SnapshotRetentionAndPerfettoLoadableDump) {
   std::filesystem::remove(path);
 }
 
+TEST(FlightRecorder, SurvivesTraceRecorderClear) {
+  FlightRecorder& flight = FlightRecorder::global();
+  TraceRecorder& recorder = TraceRecorder::global();
+  flight.clear();
+  recorder.clear();
+  const bool was_enabled = recorder.enabled();
+  recorder.set_enabled(true);
+  recorder.record_span(
+      make_span(new_root_context(), "flight.keep", "client", 0.0, 1.0));
+  recorder.set_enabled(was_enabled);
+
+  // Clearing the debugging buffer must not empty the flight ring: a breach
+  // snapshot taken later still sees the span.
+  recorder.clear();
+  EXPECT_EQ(recorder.span_count(), 0u);
+  const std::vector<SpanRecord> kept = flight.recent();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].name, "flight.keep");
+  flight.clear();
+}
+
+TEST(FlightRecorder, BudgetDropsStayOutOfTraceDropCounter) {
+  Counter& trace_dropped =
+      MetricsRegistry::global().counter("trace.dropped.spans");
+  const std::uint64_t before = trace_dropped.value();
+  FlightRecorder flight;
+  const SpanRecord span =
+      make_span(new_root_context(), "flight.drop", "client", 0.0, 1.0);
+  flight.set_budget(approx_span_bytes(span) * 2);
+  for (int i = 0; i < 10; ++i) flight.record(span);
+  EXPECT_GE(flight.dropped(), 8u);
+  EXPECT_EQ(trace_dropped.value(), before);
+}
+
+TEST(FlightRecorder, FlightBudgetEnvOverridesDefaultBudget) {
+  ::setenv("PROXYSTORE_FLIGHT_BUDGET", "12345", /*overwrite=*/1);
+  const FlightRecorder budgeted;
+  EXPECT_EQ(budgeted.budget(), 12345u);
+  // Garbage and zero fall back to the default.
+  ::setenv("PROXYSTORE_FLIGHT_BUDGET", "0", 1);
+  const FlightRecorder zero;
+  EXPECT_EQ(zero.budget(), FlightRecorder::kDefaultBudgetBytes);
+  ::setenv("PROXYSTORE_FLIGHT_BUDGET", "junk", 1);
+  const FlightRecorder junk;
+  EXPECT_EQ(junk.budget(), FlightRecorder::kDefaultBudgetBytes);
+  ::unsetenv("PROXYSTORE_FLIGHT_BUDGET");
+}
+
 TEST(LatencyWatchdog, LatchedThresholdCrossingFreezesFlightRecorder) {
   FlightRecorder& flight = FlightRecorder::global();
   flight.clear();
