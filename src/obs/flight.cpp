@@ -1,7 +1,6 @@
 #include "obs/flight.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <utility>
 
@@ -12,40 +11,10 @@
 
 namespace ps::obs {
 
-std::size_t approx_span_bytes(const SpanRecord& span) {
-  return sizeof(SpanRecord) + span.name.size() + span.subject.size() +
-         span.kind.size() + span.process.size() + span.host.size() +
-         span.site.size();
-}
-
-FlightRecorder::FlightRecorder() {
-  if (const char* budget = std::getenv("PROXYSTORE_FLIGHT_BUDGET")) {
-    const unsigned long long v = std::strtoull(budget, nullptr, 10);
-    if (v > 0) budget_ = static_cast<std::size_t>(v);
-  }
-}
-
 FlightRecorder& FlightRecorder::global() {
-  static FlightRecorder* recorder = new FlightRecorder();  // never destroyed
+  // Never destroyed.
+  static FlightRecorder* recorder = new FlightRecorder(TraceRecorder::flight());
   return *recorder;
-}
-
-void FlightRecorder::record(const SpanRecord& span) {
-  const std::size_t cost = approx_span_bytes(span);
-  std::lock_guard lock(mu_);
-  ring_.push_back(span);
-  ring_bytes_ += cost;
-  trim();
-}
-
-void FlightRecorder::trim() {
-  std::uint64_t dropped = 0;
-  while (ring_bytes_ > budget_ && ring_.size() > 1) {
-    ring_bytes_ -= approx_span_bytes(ring_.front());
-    ring_.pop_front();
-    ++dropped;
-  }
-  if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
 }
 
 FlightRecorder::Snapshot FlightRecorder::capture(std::string reason) const {
@@ -53,13 +22,13 @@ FlightRecorder::Snapshot FlightRecorder::capture(std::string reason) const {
   snap.reason = std::move(reason);
   snap.wall_s = TraceRecorder::global().wall_now();
   snap.vtime_s = sim::vnow();
-  snap.spans.assign(ring_.begin(), ring_.end());
+  snap.spans = ring_.spans();
   return snap;
 }
 
 FlightRecorder::Snapshot FlightRecorder::snapshot(std::string reason) {
-  std::lock_guard lock(mu_);
   Snapshot snap = capture(std::move(reason));
+  std::lock_guard lock(mu_);
   snapshots_.push_back(snap);
   while (snapshots_.size() > kMaxSnapshots) {
     snapshots_.erase(snapshots_.begin());
@@ -78,8 +47,10 @@ bool FlightRecorder::has_snapshot() const {
 }
 
 FlightRecorder::Snapshot FlightRecorder::latest_or_live() const {
-  std::lock_guard lock(mu_);
-  if (!snapshots_.empty()) return snapshots_.back();
+  {
+    std::lock_guard lock(mu_);
+    if (!snapshots_.empty()) return snapshots_.back();
+  }
   // No anomaly recorded: capture the ring as it stands, without retaining.
   return capture("live");
 }
@@ -105,40 +76,9 @@ bool FlightRecorder::dump(const std::string& path, const Snapshot& snap) {
   return static_cast<bool>(file);
 }
 
-bool FlightRecorder::dump(const std::string& path) const {
-  return dump(path, latest_or_live());
-}
-
-std::vector<SpanRecord> FlightRecorder::recent() const {
-  std::lock_guard lock(mu_);
-  return {ring_.begin(), ring_.end()};
-}
-
-std::size_t FlightRecorder::size() const {
-  std::lock_guard lock(mu_);
-  return ring_.size();
-}
-
-std::size_t FlightRecorder::bytes() const {
-  std::lock_guard lock(mu_);
-  return ring_bytes_;
-}
-
-std::size_t FlightRecorder::budget() const {
-  std::lock_guard lock(mu_);
-  return budget_;
-}
-
-void FlightRecorder::set_budget(std::size_t budget_bytes) {
-  std::lock_guard lock(mu_);
-  budget_ = budget_bytes == 0 ? 1 : budget_bytes;
-  trim();
-}
-
 void FlightRecorder::clear() {
-  std::lock_guard lock(mu_);
   ring_.clear();
-  ring_bytes_ = 0;
+  std::lock_guard lock(mu_);
   snapshots_.clear();
 }
 

@@ -1,14 +1,15 @@
 // Always-on flight recorder: the last N bytes of span history, snapshotted
 // on anomaly.
 //
-// The TraceRecorder is an opt-in debugging buffer — large, cleared between
-// runs, and often disabled. The FlightRecorder is the opposite: a small
-// byte-budgeted ring of the most recent SpanRecords that is always fed
-// while tracing is on, cheap enough to leave running for a whole bench or
-// load run. When something goes wrong — an SLO breach detected by
-// SloRegistry::evaluate, or a latency-threshold anomaly caught by the
-// LatencyWatchdog — the ring is frozen into a named Snapshot. Snapshots
-// are retained (last kMaxSnapshots) and can be written out as a
+// The global TraceRecorder is an opt-in debugging buffer — large, cleared
+// between runs, and often disabled. The flight ring is the opposite: a
+// second TraceRecorder (TraceRecorder::flight()), always enabled, with no
+// count cap and a byte budget, fed every span the debugging buffer records
+// and cheap enough to leave running for a whole bench or load run. When
+// something goes wrong — an SLO breach detected by SloRegistry::evaluate,
+// or a latency-threshold anomaly caught by the LatencyWatchdog — the
+// FlightRecorder freezes the ring into a named Snapshot. Snapshots are
+// retained (last kMaxSnapshots) and can be written out as a
 // self-contained, Perfetto-loadable Chrome trace JSON (`dump`), which is
 // what `psctl flight dump` and the bench harness's breach auto-dump emit:
 // CI failures ship the exact offending traces, not just a red verdict.
@@ -21,10 +22,7 @@
 // collection time. Override with PROXYSTORE_FLIGHT_BUDGET (bytes).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -35,12 +33,8 @@ namespace ps::obs {
 
 class MetricsRegistry;
 
-/// Approximate resident cost of one record: struct plus heap strings.
-std::size_t approx_span_bytes(const SpanRecord& span);
-
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultBudgetBytes = 8u << 20;  // 8 MiB
   static constexpr std::size_t kMaxSnapshots = 4;
 
   /// One frozen copy of the ring, stamped with why and when it was taken.
@@ -51,14 +45,11 @@ class FlightRecorder {
     std::vector<SpanRecord> spans;
   };
 
-  /// Reads PROXYSTORE_FLIGHT_BUDGET (bytes) when set.
-  FlightRecorder();
+  /// Snapshots `ring`, which must outlive the recorder.
+  explicit FlightRecorder(TraceRecorder& ring) : ring_(ring) {}
 
+  /// Snapshots TraceRecorder::flight().
   static FlightRecorder& global();
-
-  /// Copies `span` into the ring, evicting oldest records past the byte
-  /// budget. Called by TraceRecorder::record_span for every span.
-  void record(const SpanRecord& span);
 
   /// Freezes the current ring as a named snapshot (retaining the newest
   /// kMaxSnapshots) and returns a copy of it.
@@ -80,33 +71,16 @@ class FlightRecorder {
   /// Writes dump_json(snap) to `path`; false when unwritable.
   static bool dump(const std::string& path, const Snapshot& snap);
 
-  /// dump(path, latest_or_live()).
-  bool dump(const std::string& path) const;
-
-  std::vector<SpanRecord> recent() const;
-  std::size_t size() const;
-  std::size_t bytes() const;
-  std::size_t budget() const;
-  void set_budget(std::size_t budget_bytes);
-  /// Monotonic count of records evicted by the budget (never reset).
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
   /// Empties the ring and drops retained snapshots (tests, multi-run
-  /// tools). Drop counters stay monotonic.
+  /// tools). The ring's drop counter stays monotonic.
   void clear();
 
  private:
-  /// Both with mu_ held: evicts the oldest records past the budget (never
-  /// the newest), and copies the ring into a snapshot stamped now.
-  void trim();
+  /// The ring as it stands, stamped now.
   Snapshot capture(std::string reason) const;
 
+  TraceRecorder& ring_;
   mutable std::mutex mu_;
-  std::deque<SpanRecord> ring_;
-  std::size_t ring_bytes_ = 0;
-  std::size_t budget_ = kDefaultBudgetBytes;
-  std::atomic<std::uint64_t> dropped_{0};
   std::vector<Snapshot> snapshots_;
 };
 

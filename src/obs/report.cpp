@@ -1,17 +1,13 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <variant>
 
 #include "obs/critical.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/text.hpp"
@@ -21,202 +17,21 @@ namespace ps::obs {
 
 namespace {
 
-// ------------------------------------------------- minimal JSON reader ----
-// Just enough JSON for the artifacts this module itself writes: objects,
-// arrays, strings with the escapes json_escape_into() emits, and numbers.
-
-struct JsonValue {
-  std::variant<std::nullptr_t, double, std::string,
-               std::map<std::string, JsonValue>, std::vector<JsonValue>>
-      v = nullptr;
-
-  bool is_object() const {
-    return std::holds_alternative<std::map<std::string, JsonValue>>(v);
-  }
-  bool is_array() const {
-    return std::holds_alternative<std::vector<JsonValue>>(v);
-  }
-  bool is_number() const { return std::holds_alternative<double>(v); }
-  bool is_string() const { return std::holds_alternative<std::string>(v); }
-  const std::map<std::string, JsonValue>& obj() const {
-    return std::get<std::map<std::string, JsonValue>>(v);
-  }
-  const std::vector<JsonValue>& arr() const {
-    return std::get<std::vector<JsonValue>>(v);
-  }
-  double num() const { return std::get<double>(v); }
-  const std::string& str() const { return std::get<std::string>(v); }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  std::optional<JsonValue> parse(std::string* error) {
-    std::optional<JsonValue> value = parse_value();
-    skip_ws();
-    if (!value || pos_ != text_.size()) {
-      if (error != nullptr) {
-        *error = error_.empty() ? "trailing content after JSON value"
-                                : error_;
-      }
-      return std::nullopt;
-    }
-    return value;
-  }
-
- private:
-  void fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  bool expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-
-  std::optional<JsonValue> parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      auto s = parse_string();
-      if (!s) return std::nullopt;
-      return JsonValue{std::move(*s)};
-    }
-    return parse_number();
-  }
-
-  /// Decodes exactly the escapes json_escape_into() emits: \" \\ \n \t and
-  /// \u00XX for the other control bytes.
-  std::optional<std::string> parse_string() {
-    if (!expect('"')) return std::nullopt;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] != '\\') {
-        out += text_[pos_++];
-        continue;
-      }
-      const char esc = pos_ + 1 < text_.size() ? text_[pos_ + 1] : '\0';
-      pos_ += 2;
-      const char* hex = text_.data() + std::min(pos_, text_.size());
-      unsigned code = 0;
-      if (esc == '"' || esc == '\\') {
-        out += esc;
-      } else if (esc == 'n' || esc == 't') {
-        out += esc == 'n' ? '\n' : '\t';
-      } else if (esc == 'u' && pos_ + 4 <= text_.size() &&
-                 std::from_chars(hex, hex + 4, code, 16).ptr == hex + 4 &&
-                 code < 0x80) {
-        out += static_cast<char>(code);
-        pos_ += 4;
-      } else {
-        pos_ -= 2;
-        fail("unsupported string escape");
-        return std::nullopt;
-      }
-    }
-    if (!expect('"')) return std::nullopt;
-    return out;
-  }
-
-  std::optional<JsonValue> parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected a JSON number");
-      return std::nullopt;
-    }
-    // std::stod stops at the first byte it cannot use ("1-2" reads as 1);
-    // the whole token must be the number.
-    const std::string token = text_.substr(start, pos_ - start);
-    std::size_t used = 0;
-    try {
-      const double value = std::stod(token, &used);
-      if (used == token.size()) return JsonValue{value};
-    } catch (const std::exception&) {
-    }
-    pos_ = start;
-    fail("unparsable number '" + token + "'");
-    return std::nullopt;
-  }
-
-  std::optional<JsonValue> parse_object() {
-    if (!expect('{')) return std::nullopt;
-    std::map<std::string, JsonValue> out;
-    if (peek() != '}') {
-      while (true) {
-        auto key = parse_string();
-        if (!key || !expect(':')) return std::nullopt;
-        auto value = parse_value();
-        if (!value) return std::nullopt;
-        out[std::move(*key)] = std::move(*value);
-        if (peek() != ',') break;
-        ++pos_;
-      }
-    }
-    if (!expect('}')) return std::nullopt;
-    return JsonValue{std::move(out)};
-  }
-
-  std::optional<JsonValue> parse_array() {
-    if (!expect('[')) return std::nullopt;
-    std::vector<JsonValue> out;
-    if (peek() != ']') {
-      while (true) {
-        auto value = parse_value();
-        if (!value) return std::nullopt;
-        out.push_back(std::move(*value));
-        if (peek() != ',') break;
-        ++pos_;
-      }
-    }
-    if (!expect(']')) return std::nullopt;
-    return JsonValue{std::move(out)};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-bool schema_error(std::string* error, const std::string& what) {
+/// Sets `*error` (when non-null) to `what` and rejects the artifact.
+std::nullopt_t reject(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
-  return false;
+  return std::nullopt;
 }
 
-double num_or(const std::map<std::string, JsonValue>& obj,
-              const std::string& key, double fallback) {
+double num_or(const JsonValue::Object& obj, const std::string& key,
+              double fallback) {
   const auto it = obj.find(key);
   return it != obj.end() && it->second.is_number() ? it->second.num()
                                                    : fallback;
 }
 
-std::string str_or(const std::map<std::string, JsonValue>& obj,
-                   const std::string& key, const std::string& fallback) {
+std::string str_or(const JsonValue::Object& obj, const std::string& key,
+                   const std::string& fallback) {
   const auto it = obj.find(key);
   return it != obj.end() && it->second.is_string() ? it->second.str()
                                                    : fallback;
@@ -291,8 +106,7 @@ BenchArtifact collect_bench_artifact(
           /*require_root=*/true);
       if (!path) {
         if (!flight_paths) {
-          flight_paths =
-              CriticalPath::from_spans(FlightRecorder::global().recent());
+          flight_paths = CriticalPath::from_recorder(TraceRecorder::flight());
         }
         path = flight_paths->for_span(exemplar.trace_hi, exemplar.trace_lo,
                                       exemplar.span_id, /*require_root=*/true);
@@ -309,10 +123,7 @@ BenchArtifact collect_bench_artifact(
     }
     artifact.series.emplace(name, stats);
   }
-  const SloReport slo_report = SloRegistry::global().evaluate(registry);
-  for (const SloVerdict& v : slo_report.verdicts) {
-    artifact.slos.push_back(to_result(v));
-  }
+  artifact.slos = SloRegistry::global().evaluate(registry).verdicts;
   artifact.profile_top =
       Profile::from_recorder(TraceRecorder::global()).top_nodes(profile_top_n);
   return artifact;
@@ -361,7 +172,7 @@ std::string bench_artifact_json(const BenchArtifact& artifact) {
   }
   out += "\n },\"slos\":[";
   first = true;
-  for (const SloResult& slo : artifact.slos) {
+  for (const SloVerdict& slo : artifact.slos) {
     if (!first) out += ",";
     first = false;
     out += "\n  ";
@@ -395,59 +206,51 @@ bool write_bench_artifact(const std::string& path,
 
 std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
                                                   std::string* error) {
-  std::optional<JsonValue> root = JsonReader(text).parse(error);
+  std::optional<JsonValue> root = parse_json(text, error);
   if (!root) return std::nullopt;
   if (!root->is_object()) {
-    schema_error(error, "artifact is not a JSON object");
-    return std::nullopt;
+    return reject(error, "artifact is not a JSON object");
   }
   const auto& obj = root->obj();
   const auto version = obj.find("schema_version");
   if (version == obj.end() || !version->second.is_number()) {
-    schema_error(error, "missing schema_version");
-    return std::nullopt;
+    return reject(error, "missing schema_version");
   }
   BenchArtifact artifact;
   artifact.schema_version = static_cast<int>(version->second.num());
   // Only the current schema parses: older artifacts must be re-blessed,
   // newer ones come from a build this one cannot judge.
   if (artifact.schema_version != kBenchSchemaVersion) {
-    schema_error(error, "unsupported schema_version " +
-                            std::to_string(artifact.schema_version));
-    return std::nullopt;
+    return reject(error, "unsupported schema_version " +
+                         std::to_string(artifact.schema_version));
   }
   const auto bench = obj.find("bench");
   if (bench == obj.end() || !bench->second.is_string() ||
       bench->second.str().empty()) {
-    schema_error(error, "missing bench name");
-    return std::nullopt;
+    return reject(error, "missing bench name");
   }
   artifact.bench = bench->second.str();
   const auto seed = obj.find("seed");
   if (seed == obj.end() || !seed->second.is_number()) {
-    schema_error(error, "missing seed");
-    return std::nullopt;
+    return reject(error, "missing seed");
   }
   artifact.seed = static_cast<std::uint64_t>(seed->second.num());
   artifact.git_rev = str_or(obj, "git_rev", "unknown");
 
   const auto series = obj.find("series");
   if (series == obj.end() || !series->second.is_object()) {
-    schema_error(error, "missing series object");
-    return std::nullopt;
+    return reject(error, "missing series object");
   }
   for (const auto& [name, value] : series->second.obj()) {
     if (!value.is_object()) {
-      schema_error(error, "series '" + name + "' is not an object");
-      return std::nullopt;
+      return reject(error, "series '" + name + "' is not an object");
     }
     const auto& s = value.obj();
     const auto count = s.find("count");
     const auto mean = s.find("mean_s");
     if (count == s.end() || !count->second.is_number() || mean == s.end() ||
         !mean->second.is_number()) {
-      schema_error(error, "series '" + name + "' missing count/mean_s");
-      return std::nullopt;
+      return reject(error, "series '" + name + "' missing count/mean_s");
     }
     SeriesStats stats;
     stats.count = static_cast<std::uint64_t>(count->second.num());
@@ -461,18 +264,16 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
     stats.units = str_or(s, "units", "s");
     stats.kind = str_or(s, "kind", "vtime");
     if (stats.kind != "vtime" && stats.kind != "wall") {
-      schema_error(error, "series '" + name + "' has unknown kind '" +
-                              stats.kind + "'");
-      return std::nullopt;
+      return reject(error, "series '" + name + "' has unknown kind '" +
+                           stats.kind + "'");
     }
     // Optional attribution: validated when present, never required —
     // exemplar-free series simply lack it.
     const auto attribution = s.find("attribution");
     if (attribution != s.end()) {
       if (!attribution->second.is_object()) {
-        schema_error(error,
-                     "series '" + name + "' attribution is not an object");
-        return std::nullopt;
+        return reject(error,
+                      "series '" + name + "' attribution is not an object");
       }
       const auto& a = attribution->second.obj();
       SeriesAttribution attr;
@@ -483,24 +284,21 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
       const auto segments = a.find("segments");
       if (attr.trace_id.size() != 32 || segments == a.end() ||
           !segments->second.is_array() || segments->second.arr().empty()) {
-        schema_error(error, "series '" + name +
-                                "' attribution needs a 32-hex trace_id and "
-                                "a non-empty segments array");
-        return std::nullopt;
+        return reject(error, "series '" + name +
+                             "' attribution needs a 32-hex trace_id and "
+                             "a non-empty segments array");
       }
       for (const JsonValue& value : segments->second.arr()) {
         if (!value.is_object()) {
-          schema_error(error,
-                       "series '" + name + "' has a non-object segment");
-          return std::nullopt;
+          return reject(error,
+                        "series '" + name + "' has a non-object segment");
         }
         const auto& seg = value.obj();
         SegmentShare share;
         share.segment = str_or(seg, "segment", "");
         if (share.segment.empty()) {
-          schema_error(error,
-                       "series '" + name + "' has a segment without a name");
-          return std::nullopt;
+          return reject(error,
+                        "series '" + name + "' has a segment without a name");
         }
         share.vtime_s = num_or(seg, "vtime_s", 0.0);
         share.spans = static_cast<std::uint64_t>(num_or(seg, "spans", 0.0));
@@ -513,54 +311,49 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
 
   const auto slos = obj.find("slos");
   if (slos == obj.end() || !slos->second.is_array()) {
-    schema_error(error, "missing slos array");
-    return std::nullopt;
+    return reject(error, "missing slos array");
   }
   for (const JsonValue& value : slos->second.arr()) {
     if (!value.is_object()) {
-      schema_error(error, "slos entry is not an object");
-      return std::nullopt;
+      return reject(error, "slos entry is not an object");
     }
     const auto& s = value.obj();
-    SloResult result;
-    result.name = str_or(s, "name", "");
-    result.metric = str_or(s, "metric", "");
-    result.percentile = str_or(s, "percentile", "");
-    result.status = str_or(s, "status", "");
-    if (result.name.empty() || result.metric.empty()) {
-      schema_error(error, "slos entry missing name/metric");
-      return std::nullopt;
+    SloVerdict verdict;
+    SloObjective& objective = verdict.objective;
+    objective.name = str_or(s, "name", "");
+    objective.metric = str_or(s, "metric", "");
+    objective.percentile = str_or(s, "percentile", "");
+    if (objective.name.empty() || objective.metric.empty()) {
+      return reject(error, "slos entry missing name/metric");
     }
-    if (result.status != "pass" && result.status != "breach" &&
-        result.status != "insufficient_data") {
-      schema_error(error, "slo '" + result.name + "' has unknown status '" +
-                              result.status + "'");
-      return std::nullopt;
+    const std::string status = str_or(s, "status", "");
+    const std::optional<SloStatus> parsed = parse_slo_status(status);
+    if (!parsed) {
+      return reject(error, "slo '" + objective.name +
+                           "' has unknown status '" + status + "'");
     }
-    result.threshold_s = num_or(s, "threshold_s", 0.0);
-    result.min_samples =
+    verdict.status = *parsed;
+    objective.threshold_s = num_or(s, "threshold_s", 0.0);
+    objective.min_samples =
         static_cast<std::uint64_t>(num_or(s, "min_samples", 1.0));
-    result.observed_s = num_or(s, "observed_s", 0.0);
-    result.samples = static_cast<std::uint64_t>(num_or(s, "samples", 0.0));
-    artifact.slos.push_back(std::move(result));
+    verdict.observed_s = num_or(s, "observed_s", 0.0);
+    verdict.samples = static_cast<std::uint64_t>(num_or(s, "samples", 0.0));
+    artifact.slos.push_back(std::move(verdict));
   }
 
   const auto profile = obj.find("profile_top");
   if (profile == obj.end() || !profile->second.is_array()) {
-    schema_error(error, "missing profile_top array");
-    return std::nullopt;
+    return reject(error, "missing profile_top array");
   }
   for (const JsonValue& value : profile->second.arr()) {
     if (!value.is_object()) {
-      schema_error(error, "profile_top entry is not an object");
-      return std::nullopt;
+      return reject(error, "profile_top entry is not an object");
     }
     const auto& p = value.obj();
     ProfileEntry entry;
     entry.path = str_or(p, "path", "");
     if (entry.path.empty()) {
-      schema_error(error, "profile_top entry missing path");
-      return std::nullopt;
+      return reject(error, "profile_top entry missing path");
     }
     entry.count = static_cast<std::uint64_t>(num_or(p, "count", 0.0));
     entry.total_vtime_s = num_or(p, "total_vtime_s", 0.0);
@@ -655,8 +448,8 @@ DiffResult diff_bench_artifacts(const BenchArtifact& baseline,
   // The SLO gate: a candidate artifact carrying any breached objective
   // fails the diff even when every series matches its baseline — the
   // objective is a promise about absolute latency, not relative drift.
-  for (const SloResult& slo : candidate.slos) {
-    if (slo.status == "breach") result.slo_breaches.push_back(slo);
+  for (const SloVerdict& slo : candidate.slos) {
+    if (slo.status == SloStatus::kBreach) result.slo_breaches.push_back(slo);
   }
 
   result.failed = failing > 0 || !result.slo_breaches.empty();

@@ -78,7 +78,7 @@ struct BenchArtifact {
   std::map<std::string, SeriesStats> series;
   /// Verdicts of every objective declared in the global SloRegistry at
   /// collection time (declaration order).
-  std::vector<SloResult> slos;
+  std::vector<SloVerdict> slos;
   std::vector<ProfileEntry> profile_top;  // hottest-first, may be empty
 };
 
@@ -89,7 +89,7 @@ std::string git_revision(const std::string& start_dir = {});
 
 /// Builds an artifact from the process-wide MetricsRegistry: one SeriesStats
 /// per entry of `series_meta` (names not present in the registry are
-/// skipped), one SloResult per objective in the global SloRegistry, plus
+/// skipped), one SloVerdict per objective in the global SloRegistry, plus
 /// the top `profile_top_n` nodes of the span profile aggregated from the
 /// global TraceRecorder.
 BenchArtifact collect_bench_artifact(
@@ -143,7 +143,7 @@ struct DiffResult {
   std::vector<SeriesDelta> deltas;
   /// Candidate SLO verdicts with status "breach"; any entry fails the diff
   /// (the CI SLO gate), independent of series drift.
-  std::vector<SloResult> slo_breaches;
+  std::vector<SloVerdict> slo_breaches;
   bool failed = false;  // any drift/regression/missing/SLO breach
   std::string summary;  // one line, e.g. "2 of 14 series drifted"
 };

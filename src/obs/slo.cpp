@@ -1,6 +1,7 @@
 #include "obs/slo.hpp"
 
 #include <cstdio>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "obs/export.hpp"
@@ -12,6 +13,10 @@
 namespace ps::obs {
 
 namespace {
+
+/// Indexed by SloStatus; also its ps_slo_status gauge value.
+constexpr const char* kSloStatusNames[] = {"pass", "breach",
+                                           "insufficient_data"};
 
 double percentile_rank(const std::string& percentile) {
   if (percentile == "p50") return 50.0;
@@ -42,15 +47,14 @@ bool valid_slo_percentile(const std::string& percentile) {
 }
 
 std::string to_string(SloStatus status) {
-  switch (status) {
-    case SloStatus::kPass:
-      return "pass";
-    case SloStatus::kBreach:
-      return "breach";
-    case SloStatus::kInsufficientData:
-      return "insufficient_data";
+  return kSloStatusNames[static_cast<std::size_t>(status)];
+}
+
+std::optional<SloStatus> parse_slo_status(const std::string& text) {
+  for (std::size_t i = 0; i < std::size(kSloStatusNames); ++i) {
+    if (text == kSloStatusNames[i]) return static_cast<SloStatus>(i);
   }
-  return "insufficient_data";
+  return std::nullopt;
 }
 
 std::size_t SloReport::breaches() const {
@@ -88,26 +92,19 @@ std::string SloReport::table() const {
   return out;
 }
 
-SloResult to_result(const SloVerdict& verdict) {
-  return SloResult{verdict.objective.name,        verdict.objective.metric,
-                   verdict.objective.percentile,  verdict.objective.threshold_s,
-                   verdict.objective.min_samples, to_string(verdict.status),
-                   verdict.observed_s,            verdict.samples};
-}
-
-void append_slo_json(std::string& out, const SloResult& slo) {
+void append_slo_json(std::string& out, const SloVerdict& verdict) {
+  const SloObjective& objective = verdict.objective;
   out += "{\"name\":\"";
-  json_escape_into(out, slo.name);
+  json_escape_into(out, objective.name);
   out += "\",\"metric\":\"";
-  json_escape_into(out, slo.metric);
+  json_escape_into(out, objective.metric);
   out += "\",\"percentile\":\"";
-  json_escape_into(out, slo.percentile);
-  out += "\",\"threshold_s\":" + fmt_double(slo.threshold_s);
-  out += ",\"min_samples\":" + std::to_string(slo.min_samples);
-  out += ",\"status\":\"";
-  json_escape_into(out, slo.status);
-  out += "\",\"observed_s\":" + fmt_double(slo.observed_s);
-  out += ",\"samples\":" + std::to_string(slo.samples) + "}";
+  json_escape_into(out, objective.percentile);
+  out += "\",\"threshold_s\":" + fmt_double(objective.threshold_s);
+  out += ",\"min_samples\":" + std::to_string(objective.min_samples);
+  out += ",\"status\":\"" + to_string(verdict.status);
+  out += "\",\"observed_s\":" + fmt_double(verdict.observed_s);
+  out += ",\"samples\":" + std::to_string(verdict.samples) + "}";
 }
 
 std::string slo_report_json(const SloReport& report) {
@@ -117,7 +114,7 @@ std::string slo_report_json(const SloReport& report) {
     if (!first) out += ",";
     first = false;
     out += "\n ";
-    append_slo_json(out, to_result(v));
+    append_slo_json(out, v);
   }
   out += "\n],\"breaches\":" + std::to_string(report.breaches());
   out += ",\"passed\":" + std::string(report.passed() ? "1" : "0") + "}\n";
@@ -138,9 +135,7 @@ std::string slo_prometheus_text(const SloReport& report) {
   family("ps_slo_status",
          "SLO verdict per objective (0=pass, 1=breach, 2=insufficient_data).",
          [](const SloVerdict& v) {
-           return std::to_string(v.status == SloStatus::kPass     ? 0
-                                 : v.status == SloStatus::kBreach ? 1
-                                                                  : 2);
+           return std::to_string(static_cast<int>(v.status));
          });
   family("ps_slo_observed_seconds", "Observed quantile per objective.",
          [](const SloVerdict& v) { return fmt_double(v.observed_s); });

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,10 +61,14 @@ struct SloObjective {
   double burn_slow_window_s = 0.0;
 };
 
-enum class SloStatus { kPass, kBreach, kInsufficientData };
+/// The values are the ps_slo_status gauge's (slo_prometheus_text).
+enum class SloStatus { kPass = 0, kBreach = 1, kInsufficientData = 2 };
 
 /// "pass" | "breach" | "insufficient_data".
 std::string to_string(SloStatus status);
+
+/// The inverse of to_string; nullopt for any other text.
+std::optional<SloStatus> parse_slo_status(const std::string& text);
 
 struct SloVerdict {
   SloObjective objective;
@@ -78,25 +83,10 @@ struct SloVerdict {
   double slow_observed_s = 0.0;
 };
 
-/// One evaluated SLO verdict in flat wire form, as `psctl slo --json` and
-/// bench artifacts carry it: what was promised, what was observed, and
-/// whether it held. `psctl bench diff` fails any artifact containing a
-/// breach.
-struct SloResult {
-  std::string name;
-  std::string metric;
-  std::string percentile;   // "p50" | "p99" | "p999"
-  double threshold_s = 0.0;
-  std::uint64_t min_samples = 1;
-  std::string status;       // "pass" | "breach" | "insufficient_data"
-  double observed_s = 0.0;
-  std::uint64_t samples = 0;
-};
-
-SloResult to_result(const SloVerdict& verdict);
-
-/// Appends `slo` as one JSON object ({"name":...,"samples":...}).
-void append_slo_json(std::string& out, const SloResult& slo);
+/// Appends `verdict` as one JSON object ({"name":...,"samples":...}), the
+/// form `psctl slo --json` and bench artifacts carry: what was promised,
+/// what was observed, and whether it held.
+void append_slo_json(std::string& out, const SloVerdict& verdict);
 
 struct SloReport {
   std::vector<SloVerdict> verdicts;

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "sim/vtime.hpp"
 
@@ -10,9 +9,8 @@ namespace ps::obs {
 
 namespace {
 
-/// Drops the oldest entries past `capacity`; returns how many went.
-template <typename T>
-std::size_t trim_to(std::deque<T>& records, std::size_t capacity) {
+/// Drops the oldest events past `capacity`; returns how many went.
+std::size_t trim_to(std::deque<TraceEvent>& records, std::size_t capacity) {
   const std::size_t excess =
       records.size() > capacity ? records.size() - capacity : 0;
   records.erase(records.begin(),
@@ -20,7 +18,21 @@ std::size_t trim_to(std::deque<T>& records, std::size_t capacity) {
   return excess;
 }
 
+/// A positive integer from the environment, else `fallback`.
+std::size_t env_size(const char* name, std::size_t fallback) {
+  const char* text = std::getenv(name);
+  const unsigned long long v =
+      text == nullptr ? 0 : std::strtoull(text, nullptr, 10);
+  return v > 0 ? static_cast<std::size_t>(v) : fallback;
+}
+
 }  // namespace
+
+std::size_t approx_span_bytes(const SpanRecord& span) {
+  return sizeof(SpanRecord) + span.name.size() + span.subject.size() +
+         span.kind.size() + span.process.size() + span.host.size() +
+         span.site.size();
+}
 
 SpanIndex::SpanIndex(const std::vector<SpanRecord>& spans) {
   for (std::size_t i = 0; i < spans.size(); ++i) {
@@ -30,16 +42,34 @@ SpanIndex::SpanIndex(const std::vector<SpanRecord>& spans) {
   }
 }
 
-TraceRecorder::TraceRecorder() {
-  if (const char* cap = std::getenv("PROXYSTORE_TRACE_CAP")) {
-    const unsigned long long v = std::strtoull(cap, nullptr, 10);
-    if (v > 0) capacity_ = static_cast<std::size_t>(v);
-  }
-}
+TraceRecorder::TraceRecorder()
+    : capacity_(env_size("PROXYSTORE_TRACE_CAP", kDefaultCapacity)) {}
+
+TraceRecorder::TraceRecorder(FlightRing)
+    : flight_ring_(true),
+      enabled_(true),
+      capacity_(SIZE_MAX),
+      budget_(env_size("PROXYSTORE_FLIGHT_BUDGET", kDefaultFlightBudget)) {}
 
 TraceRecorder& TraceRecorder::global() {
   static TraceRecorder* recorder = new TraceRecorder();  // never destroyed
   return *recorder;
+}
+
+TraceRecorder& TraceRecorder::flight() {
+  static TraceRecorder* ring = new TraceRecorder(FlightRing{});  // never freed
+  return *ring;
+}
+
+std::size_t TraceRecorder::trim_spans() {
+  std::size_t dropped = 0;
+  while (spans_.size() > capacity_ ||
+         (span_bytes_ > budget_ && spans_.size() > 1)) {
+    span_bytes_ -= approx_span_bytes(spans_.front());
+    spans_.pop_front();
+    ++dropped;
+  }
+  return dropped;
 }
 
 void TraceRecorder::note_dropped_events(std::size_t n) {
@@ -54,6 +84,7 @@ void TraceRecorder::note_dropped_events(std::size_t n) {
 void TraceRecorder::note_dropped_spans(std::size_t n) {
   if (n == 0) return;
   dropped_spans_.fetch_add(n, std::memory_order_relaxed);
+  if (flight_ring_) return;
   static Counter& counter =
       MetricsRegistry::global().counter("trace.dropped.spans");
   counter.inc(n);
@@ -79,14 +110,16 @@ void TraceRecorder::record(const std::string& subject,
 
 void TraceRecorder::record_span(SpanRecord span) {
   if (!enabled()) return;
-  // The flight recorder keeps its own (byte-budgeted) copy so a breach
+  // The flight ring keeps its own (byte-budgeted) copy so a breach
   // snapshot survives even after this buffer has rolled past the span.
-  FlightRecorder::global().record(span);
+  if (!flight_ring_) flight().record_span(span);
+  const std::size_t cost = approx_span_bytes(span);
   std::size_t dropped = 0;
   {
     std::lock_guard lock(mu_);
     spans_.push_back(std::move(span));
-    dropped = trim_to(spans_, capacity_);
+    span_bytes_ += cost;
+    dropped = trim_spans();
   }
   note_dropped_spans(dropped);
 }
@@ -125,6 +158,7 @@ void TraceRecorder::clear() {
   std::lock_guard lock(mu_);
   events_.clear();
   spans_.clear();
+  span_bytes_ = 0;
 }
 
 void TraceRecorder::set_capacity(std::size_t capacity) {
@@ -134,7 +168,7 @@ void TraceRecorder::set_capacity(std::size_t capacity) {
     std::lock_guard lock(mu_);
     capacity_ = capacity == 0 ? 1 : capacity;
     dropped_events = trim_to(events_, capacity_);
-    dropped_spans = trim_to(spans_, capacity_);
+    dropped_spans = trim_spans();
   }
   note_dropped_events(dropped_events);
   note_dropped_spans(dropped_spans);
@@ -143,6 +177,21 @@ void TraceRecorder::set_capacity(std::size_t capacity) {
 std::size_t TraceRecorder::capacity() const {
   std::lock_guard lock(mu_);
   return capacity_;
+}
+
+void TraceRecorder::set_budget(std::size_t budget_bytes) {
+  std::size_t dropped = 0;
+  {
+    std::lock_guard lock(mu_);
+    budget_ = budget_bytes == 0 ? 1 : budget_bytes;
+    dropped = trim_spans();
+  }
+  note_dropped_spans(dropped);
+}
+
+std::size_t TraceRecorder::budget() const {
+  std::lock_guard lock(mu_);
+  return budget_;
 }
 
 double TraceRecorder::wall_now() const {

@@ -86,16 +86,29 @@ struct SpanIndex {
   std::map<Key, std::vector<std::size_t>> children;
 };
 
+/// Approximate resident cost of one record: struct plus heap strings.
+std::size_t approx_span_bytes(const SpanRecord& span);
+
 class TraceRecorder {
  public:
   /// Default ceiling on retained events and spans (each). Overridable at
   /// process start via PROXYSTORE_TRACE_CAP (positive integer) and at
   /// runtime via set_capacity().
   static constexpr std::size_t kDefaultCapacity = 65536;
+  /// Flight ring byte budget unless PROXYSTORE_FLIGHT_BUDGET sets one.
+  static constexpr std::size_t kDefaultFlightBudget = 8u << 20;  // 8 MiB
 
+  /// A debugging buffer; every span it records is also fed to flight().
   TraceRecorder();
+  /// A flight ring: always enabled, no count cap, a byte budget, and drops
+  /// kept out of "trace.dropped.spans".
+  struct FlightRing {};
+  explicit TraceRecorder(FlightRing);
 
   static TraceRecorder& global();
+  /// The process-wide flight ring (obs/flight.hpp): global().clear()
+  /// leaves it intact.
+  static TraceRecorder& flight();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) {
@@ -107,7 +120,7 @@ class TraceRecorder {
   void record(const std::string& subject, const std::string& event);
 
   /// Appends a closed span (no-op while disabled). Oldest spans are
-  /// dropped once the buffer exceeds capacity.
+  /// dropped once the buffer exceeds capacity or byte budget.
   void record_span(SpanRecord span);
 
   /// All events for one subject, in record order.
@@ -122,8 +135,13 @@ class TraceRecorder {
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
 
-  /// Monotonic counts of records evicted by the capacity ceiling (never
-  /// reset by clear(); mirrored into the metrics registry as
+  /// Bound on the retained spans' approx_span_bytes (0 becomes 1); the
+  /// newest span always stays.
+  void set_budget(std::size_t budget_bytes);
+  std::size_t budget() const;
+
+  /// Monotonic counts of records evicted by the capacity ceiling or budget
+  /// (never reset by clear(); mirrored into the metrics registry as
   /// "trace.dropped.events" / "trace.dropped.spans").
   std::uint64_t dropped_events() const {
     return dropped_events_.load(std::memory_order_relaxed);
@@ -137,14 +155,19 @@ class TraceRecorder {
   double wall_now() const;
 
  private:
+  /// With mu_ held: evicts spans per record_span; returns how many went.
+  std::size_t trim_spans();
   void note_dropped_events(std::size_t n);
   void note_dropped_spans(std::size_t n);
 
+  const bool flight_ring_ = false;
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::deque<TraceEvent> events_;
   std::deque<SpanRecord> spans_;
+  std::size_t span_bytes_ = 0;
   std::size_t capacity_ = kDefaultCapacity;
+  std::size_t budget_ = SIZE_MAX;
   std::atomic<std::uint64_t> dropped_events_{0};
   std::atomic<std::uint64_t> dropped_spans_{0};
   std::chrono::steady_clock::time_point origin_ =

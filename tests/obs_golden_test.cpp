@@ -260,19 +260,15 @@ TEST(ObsGolden, BenchArtifactJson) {
   wall.units = "ratio";
   wall.mean_s = 1.0 / 3.0;
   artifact.series["op\nname\x01"] = wall;
-  SloResult slo;
-  slo.name = "cell.p999";
-  slo.metric = "cell.vtime";
-  slo.percentile = "p999";
-  slo.threshold_s = 1.0;
-  slo.min_samples = 8;
-  slo.status = "pass";
+  SloVerdict slo;
+  slo.objective = {"cell.p999", "cell.vtime", "p999", 1.0, 8};
+  slo.status = SloStatus::kPass;
   slo.observed_s = 0.95;
   slo.samples = 10;
   artifact.slos.push_back(slo);
-  slo.name = "cell.p50";
-  slo.percentile = "p50";
-  slo.status = "insufficient_data";
+  slo.objective.name = "cell.p50";
+  slo.objective.percentile = "p50";
+  slo.status = SloStatus::kInsufficientData;
   artifact.slos.push_back(slo);
   artifact.profile_top = Profile::from_spans(fixed_spans()).top_nodes(3);
   expect_golden("bench_artifact.json", bench_artifact_json(artifact));

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -12,7 +11,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include <filesystem>
@@ -39,6 +37,7 @@
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/slo.hpp"
+#include "obs/text.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "proc/world.hpp"
@@ -55,122 +54,13 @@ using core::Proxy;
 using core::Store;
 using connectors::LocalConnector;
 
-// ------------------------------------------------- minimal JSON reader ----
-// Just enough JSON to round-trip dump_json() output in tests: objects,
-// arrays, strings (registry names never need full escape handling), and
-// numbers.
-
-struct JsonValue {
-  std::variant<std::nullptr_t, double, std::string,
-               std::map<std::string, JsonValue>, std::vector<JsonValue>>
-      v = nullptr;
-
-  const JsonValue& at(const std::string& key) const {
-    return std::get<std::map<std::string, JsonValue>>(v).at(key);
-  }
-  bool has(const std::string& key) const {
-    return std::get<std::map<std::string, JsonValue>>(v).contains(key);
-  }
-  double num() const { return std::get<double>(v); }
-  const std::vector<JsonValue>& arr() const {
-    return std::get<std::vector<JsonValue>>(v);
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    EXPECT_EQ(pos_, text_.size()) << "trailing JSON content";
-    return value;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    EXPECT_LT(pos_, text_.size()) << "unexpected end of JSON";
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  void expect(char c) {
-    EXPECT_EQ(peek(), c);
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return JsonValue{parse_string()};
-    return parse_number();
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-      out += text_[pos_++];
-    }
-    expect('"');
-    return out;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    EXPECT_GT(pos_, start) << "expected a JSON number";
-    return JsonValue{std::stod(text_.substr(start, pos_ - start))};
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    std::map<std::string, JsonValue> out;
-    if (peek() != '}') {
-      while (true) {
-        std::string key = parse_string();
-        expect(':');
-        out[std::move(key)] = parse_value();
-        if (peek() != ',') break;
-        ++pos_;
-      }
-    }
-    expect('}');
-    return JsonValue{std::move(out)};
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    std::vector<JsonValue> out;
-    if (peek() != ']') {
-      while (true) {
-        out.push_back(parse_value());
-        if (peek() != ',') break;
-        ++pos_;
-      }
-    }
-    expect(']');
-    return JsonValue{std::move(out)};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+/// parse_json() that fails the test on malformed input.
+JsonValue parse_or_fail(const std::string& text) {
+  std::string error;
+  std::optional<JsonValue> value = parse_json(text, &error);
+  EXPECT_TRUE(value.has_value()) << error;
+  return value.value_or(JsonValue{});
+}
 
 // ----------------------------------------------------------- histogram ----
 
@@ -340,7 +230,7 @@ TEST(Registry, JsonExportRoundTrips) {
   h.observe(3e-3);
 
   const std::string text = registry.dump_json();
-  JsonValue root = JsonReader(text).parse();
+  JsonValue root = parse_or_fail(text);
 
   EXPECT_EQ(root.at("counters").at("json.requests").num(), 42.0);
   EXPECT_DOUBLE_EQ(root.at("gauges").at("json.depth").num(), 2.5);
@@ -803,33 +693,33 @@ TEST(PerfettoExport, EmittedFileParsesAsChromeTraceEvents) {
 
   // Re-parse the emitted file: it must load as a Chrome trace-event JSON
   // object, the format ui.perfetto.dev and chrome://tracing open natively.
-  JsonValue root = JsonReader(text).parse();
-  EXPECT_EQ(std::get<std::string>(root.at("displayTimeUnit").v), "ms");
+  JsonValue root = parse_or_fail(text);
+  EXPECT_EQ(root.at("displayTimeUnit").str(), "ms");
   const std::vector<JsonValue>& events = root.at("traceEvents").arr();
   std::size_t metadata = 0;
   std::size_t slices = 0;
   std::set<std::string> slice_names;
   std::set<double> pids;
   for (const JsonValue& event : events) {
-    const std::string ph = std::get<std::string>(event.at("ph").v);
+    const std::string ph = event.at("ph").str();
     ASSERT_TRUE(ph == "M" || ph == "X") << "unexpected phase " << ph;
-    EXPECT_TRUE(event.has("pid"));
-    EXPECT_TRUE(event.has("name"));
+    EXPECT_TRUE(event.obj().contains("pid"));
+    EXPECT_TRUE(event.obj().contains("name"));
     if (ph == "M") {
       ++metadata;
       continue;
     }
     ++slices;
     pids.insert(event.at("pid").num());
-    slice_names.insert(std::get<std::string>(event.at("name").v));
+    slice_names.insert(event.at("name").str());
     EXPECT_GE(event.at("ts").num(), 0.0);
     EXPECT_GE(event.at("dur").num(), 0.0);
     const JsonValue& args = event.at("args");
-    EXPECT_EQ(std::get<std::string>(args.at("trace_id").v).size(), 32u);
+    EXPECT_EQ(args.at("trace_id").str().size(), 32u);
     EXPECT_GT(args.at("span_id").num(), 0.0);
-    EXPECT_TRUE(args.has("parent_span_id"));
-    EXPECT_TRUE(args.has("process"));
-    EXPECT_TRUE(args.has("site"));
+    EXPECT_TRUE(args.obj().contains("parent_span_id"));
+    EXPECT_TRUE(args.obj().contains("process"));
+    EXPECT_TRUE(args.obj().contains("site"));
   }
   // Each span is emitted twice — a virtual-time slice and a wall-clock
   // slice — on distinct Perfetto "process" tracks.
@@ -845,9 +735,9 @@ TEST(PerfettoExport, EmittedFileParsesAsChromeTraceEvents) {
   double outer_vdur = 0.0;
   double inner_vdur = 0.0;
   for (const JsonValue& event : events) {
-    if (std::get<std::string>(event.at("ph").v) != "X") continue;
+    if (event.at("ph").str() != "X") continue;
     if (event.at("pid").num() >= 1000) continue;  // wall-clock track
-    const std::string name = std::get<std::string>(event.at("name").v);
+    const std::string name = event.at("name").str();
     if (name == "export.outer") outer_vdur = event.at("dur").num();
     if (name == "export.inner") inner_vdur = event.at("dur").num();
   }
@@ -1200,13 +1090,9 @@ TEST(BenchDiff, MissingSeriesFailsAndNewSeriesInforms) {
 TEST(BenchReport, SloVerdictsRoundTripAndPreV3ArtifactsAreRejected) {
   BenchArtifact artifact = sample_artifact();
   artifact.series["cell.vtime"].p999_s = 0.95;
-  SloResult slo;
-  slo.name = "cell.p999";
-  slo.metric = "cell.vtime";
-  slo.percentile = "p999";
-  slo.threshold_s = 1.0;
-  slo.min_samples = 8;
-  slo.status = "pass";
+  SloVerdict slo;
+  slo.objective = {"cell.p999", "cell.vtime", "p999", 1.0, 8};
+  slo.status = SloStatus::kPass;
   slo.observed_s = 0.95;
   slo.samples = 10;
   artifact.slos.push_back(slo);
@@ -1217,11 +1103,12 @@ TEST(BenchReport, SloVerdictsRoundTripAndPreV3ArtifactsAreRejected) {
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_NEAR(parsed->series.at("cell.vtime").p999_s, 0.95, 1e-12);
   ASSERT_EQ(parsed->slos.size(), 1u);
-  EXPECT_EQ(parsed->slos[0].name, "cell.p999");
-  EXPECT_EQ(parsed->slos[0].percentile, "p999");
-  EXPECT_EQ(parsed->slos[0].status, "pass");
-  EXPECT_NEAR(parsed->slos[0].threshold_s, 1.0, 1e-12);
-  EXPECT_EQ(parsed->slos[0].min_samples, 8u);
+  const SloObjective& objective = parsed->slos[0].objective;
+  EXPECT_EQ(objective.name, "cell.p999");
+  EXPECT_EQ(objective.percentile, "p999");
+  EXPECT_EQ(parsed->slos[0].status, SloStatus::kPass);
+  EXPECT_NEAR(objective.threshold_s, 1.0, 1e-12);
+  EXPECT_EQ(objective.min_samples, 8u);
   EXPECT_EQ(parsed->slos[0].samples, 10u);
 
   // Only schema v3 parses: v1 (no p999_s, no slos) and v2 (no
@@ -1243,9 +1130,11 @@ TEST(BenchReport, SloVerdictsRoundTripAndPreV3ArtifactsAreRejected) {
   EXPECT_NE(error.find("slos"), std::string::npos) << error;
 
   // ...and an unknown verdict status is a schema violation.
-  artifact.slos[0].status = "maybe";
-  EXPECT_FALSE(parse_bench_artifact(bench_artifact_json(artifact), &error)
-                   .has_value());
+  std::string maybe = bench_artifact_json(artifact);
+  maybe.replace(maybe.find("\"status\":\"pass\""), 15,
+                "\"status\":\"maybe\"");
+  EXPECT_FALSE(parse_bench_artifact(maybe, &error).has_value());
+  EXPECT_EQ(error, "slo 'cell.p999' has unknown status 'maybe'");
 }
 
 TEST(BenchReport, AttributionRoundTripsAndMalformedOnesAreRejected) {
@@ -1300,12 +1189,9 @@ TEST(BenchReport, AttributionRoundTripsAndMalformedOnesAreRejected) {
 TEST(BenchDiff, CandidateSloBreachFailsIndependentOfSeriesDrift) {
   const BenchArtifact base = sample_artifact();
 
-  SloResult breach;
-  breach.name = "cell.p99";
-  breach.metric = "cell.vtime";
-  breach.percentile = "p99";
-  breach.threshold_s = 0.5;
-  breach.status = "breach";
+  SloVerdict breach;
+  breach.objective = {"cell.p99", "cell.vtime", "p99", 0.5};
+  breach.status = SloStatus::kBreach;
   breach.observed_s = 0.9;
   breach.samples = 10;
 
@@ -1315,19 +1201,19 @@ TEST(BenchDiff, CandidateSloBreachFailsIndependentOfSeriesDrift) {
   const DiffResult result = diff_bench_artifacts(base, cand);
   EXPECT_TRUE(result.failed);
   ASSERT_EQ(result.slo_breaches.size(), 1u);
-  EXPECT_EQ(result.slo_breaches[0].name, "cell.p99");
+  EXPECT_EQ(result.slo_breaches[0].objective.name, "cell.p99");
   for (const SeriesDelta& delta : result.deltas) {
     EXPECT_EQ(delta.verdict, "ok") << delta.name;  // no series drift
   }
 
   // Pass and insufficient-data verdicts never fail the gate.
   BenchArtifact healthy = sample_artifact();
-  SloResult pass = breach;
-  pass.status = "pass";
+  SloVerdict pass = breach;
+  pass.status = SloStatus::kPass;
   pass.observed_s = 0.3;
-  SloResult scarce = breach;
-  scarce.name = "cell.scarce";
-  scarce.status = "insufficient_data";
+  SloVerdict scarce = breach;
+  scarce.objective.name = "cell.scarce";
+  scarce.status = SloStatus::kInsufficientData;
   healthy.slos = {pass, scarce};
   EXPECT_FALSE(diff_bench_artifacts(base, healthy).failed);
 
@@ -1516,9 +1402,9 @@ TEST(HistogramQuantiles, P999AndQuantileTrackPercentileAndExportInJson) {
   EXPECT_NEAR(h.p999(), 0.999, 2e-3);
   EXPECT_GE(h.p999(), h.percentile(99.0));
 
-  const JsonValue root = JsonReader(registry.dump_json()).parse();
+  const JsonValue root = parse_or_fail(registry.dump_json());
   const JsonValue& hist = root.at("histograms").at("quant.lat");
-  ASSERT_TRUE(hist.has("p999_s"));
+  ASSERT_TRUE(hist.obj().contains("p999_s"));
   EXPECT_NEAR(hist.at("p999_s").num(), h.p999(), 1e-9);
   EXPECT_GE(hist.at("p999_s").num(), hist.at("p99_s").num());
 }
@@ -1584,11 +1470,11 @@ TEST(Slo, EvaluateProducesPassBreachAndInsufficientVerdicts) {
   EXPECT_NE(table.find("breach"), std::string::npos);
   EXPECT_NE(table.find("insufficient"), std::string::npos);
 
-  const JsonValue root = JsonReader(slo_report_json(report)).parse();
+  const JsonValue root = parse_or_fail(slo_report_json(report));
   EXPECT_EQ(root.at("breaches").num(), 1.0);
   EXPECT_EQ(root.at("passed").num(), 0.0);
   ASSERT_EQ(root.at("slos").arr().size(), 4u);
-  EXPECT_EQ(std::get<std::string>(root.at("slos").arr()[1].at("status").v),
+  EXPECT_EQ(root.at("slos").arr()[1].at("status").str(),
             "breach");
 }
 
@@ -1602,8 +1488,8 @@ TEST(Slo, CollectEmbedsGlobalRegistryVerdictsInArtifact) {
   const BenchArtifact artifact =
       collect_bench_artifact("slo_bench", 1, {}, 0);
   ASSERT_EQ(artifact.slos.size(), 1u);
-  EXPECT_EQ(artifact.slos[0].name, "slo.collect.p99");
-  EXPECT_EQ(artifact.slos[0].status, "pass");
+  EXPECT_EQ(artifact.slos[0].objective.name, "slo.collect.p99");
+  EXPECT_EQ(artifact.slos[0].status, SloStatus::kPass);
   EXPECT_EQ(artifact.slos[0].samples, 20u);
   SloRegistry::global().clear();
 }
@@ -1654,19 +1540,19 @@ TEST(HistogramExemplars, DumpJsonSchemaV3CarriesExemplars) {
     ContextScope scope(new_root_context());
     h.observe(2e-3);
   }
-  const JsonValue root = JsonReader(registry.dump_json()).parse();
+  const JsonValue root = parse_or_fail(registry.dump_json());
   EXPECT_EQ(root.at("schema_version").num(), 3.0);
   const JsonValue& hist = root.at("histograms").at("ex.lat");
-  ASSERT_TRUE(hist.has("exemplars"));
+  ASSERT_TRUE(hist.obj().contains("exemplars"));
   ASSERT_EQ(hist.at("exemplars").arr().size(), 1u);
   const JsonValue& ex = hist.at("exemplars").arr()[0];
   EXPECT_NEAR(ex.at("value_s").num(), 2e-3, 1e-12);
-  EXPECT_EQ(std::get<std::string>(ex.at("trace_id").v).size(), 32u);
+  EXPECT_EQ(ex.at("trace_id").str().size(), 32u);
   EXPECT_GT(ex.at("span_id").num(), 0.0);
 
   // An exemplar-free histogram still emits the (empty) array.
   registry.histogram("ex.bare").observe(1e-3);
-  const JsonValue root2 = JsonReader(registry.dump_json()).parse();
+  const JsonValue root2 = parse_or_fail(registry.dump_json());
   EXPECT_TRUE(root2.at("histograms").at("ex.bare").at("exemplars")
                   .arr().empty());
 }
@@ -1805,7 +1691,7 @@ TEST(CriticalPath, SegmentsSumExactlyToRootWindow) {
   // table() and json() render every segment.
   const std::string table = CriticalPath::table(cp.reports());
   EXPECT_NE(table.find("wire-transfer"), std::string::npos);
-  const JsonValue parsed = JsonReader(CriticalPath::json(cp.top(5))).parse();
+  const JsonValue parsed = parse_or_fail(CriticalPath::json(cp.top(5)));
   ASSERT_EQ(parsed.at("critical_paths").arr().size(), 1u);
   EXPECT_DOUBLE_EQ(
       parsed.at("critical_paths").arr()[0].at("attributed_s").num(), 10.0);
@@ -1851,32 +1737,36 @@ TEST(CriticalPath, OverlappingChildrenClipAndForSpanRequiresRoot) {
 // ---------------------------------------------------- flight recorder ------
 
 TEST(FlightRecorder, ByteBudgetEvictsOldestAndCountsDrops) {
-  FlightRecorder flight;
+  TraceRecorder flight(TraceRecorder::FlightRing{});
+  EXPECT_TRUE(flight.enabled());
   const TraceContext ctx = new_root_context();
   const SpanRecord span = make_span(ctx, "flight.span", "client", 0.0, 1.0);
   const std::size_t cost = approx_span_bytes(span);
   flight.set_budget(cost * 4);
-  for (int i = 0; i < 10; ++i) flight.record(span);
-  EXPECT_LE(flight.size(), 4u);
-  EXPECT_LE(flight.bytes(), flight.budget());
-  EXPECT_GE(flight.dropped(), 6u);
-  const std::uint64_t dropped_before = flight.dropped();
+  for (int i = 0; i < 10; ++i) flight.record_span(span);
+  EXPECT_LE(flight.span_count(), 4u);
+  std::size_t held = 0;
+  for (const SpanRecord& kept : flight.spans()) held += approx_span_bytes(kept);
+  EXPECT_LE(held, flight.budget());
+  EXPECT_GE(flight.dropped_spans(), 6u);
+  const std::uint64_t dropped_before = flight.dropped_spans();
 
   // Shrinking the budget evicts immediately but always keeps one record.
   flight.set_budget(1);
-  EXPECT_EQ(flight.size(), 1u);
-  EXPECT_GT(flight.dropped(), dropped_before);
+  EXPECT_EQ(flight.span_count(), 1u);
+  EXPECT_GT(flight.dropped_spans(), dropped_before);
 
   // clear() empties the ring; drop counters stay monotonic.
   flight.clear();
-  EXPECT_EQ(flight.size(), 0u);
-  EXPECT_GT(flight.dropped(), dropped_before);
+  EXPECT_EQ(flight.span_count(), 0u);
+  EXPECT_GT(flight.dropped_spans(), dropped_before);
 }
 
 TEST(FlightRecorder, SnapshotRetentionAndPerfettoLoadableDump) {
-  FlightRecorder flight;
+  TraceRecorder ring(TraceRecorder::FlightRing{});
+  FlightRecorder flight(ring);
   const TraceContext ctx = new_root_context();
-  flight.record(make_span(ctx, "flight.op", "client", 0.5, 2.5));
+  ring.record_span(make_span(ctx, "flight.op", "client", 0.5, 2.5));
   EXPECT_FALSE(flight.has_snapshot());
 
   // latest_or_live falls back to a live capture without retaining it.
@@ -1897,13 +1787,13 @@ TEST(FlightRecorder, SnapshotRetentionAndPerfettoLoadableDump) {
   // "flight" header, and it must re-parse.
   const FlightRecorder::Snapshot snap = flight.latest_or_live();
   const std::string dump = FlightRecorder::dump_json(snap);
-  const JsonValue root = JsonReader(dump).parse();
-  EXPECT_EQ(std::get<std::string>(root.at("flight").at("reason").v),
+  const JsonValue root = parse_or_fail(dump);
+  EXPECT_EQ(root.at("flight").at("reason").str(),
             "snap-5");
   EXPECT_EQ(root.at("flight").at("span_count").num(), 1.0);
   bool saw_complete_event = false;
   for (const JsonValue& event : root.at("traceEvents").arr()) {
-    if (std::get<std::string>(event.at("ph").v) == "X") {
+    if (event.at("ph").str() == "X") {
       saw_complete_event = true;
     }
   }
@@ -1934,7 +1824,7 @@ TEST(FlightRecorder, SurvivesTraceRecorderClear) {
   // snapshot taken later still sees the span.
   recorder.clear();
   EXPECT_EQ(recorder.span_count(), 0u);
-  const std::vector<SpanRecord> kept = flight.recent();
+  const std::vector<SpanRecord> kept = TraceRecorder::flight().spans();
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0].name, "flight.keep");
   flight.clear();
@@ -1944,26 +1834,26 @@ TEST(FlightRecorder, BudgetDropsStayOutOfTraceDropCounter) {
   Counter& trace_dropped =
       MetricsRegistry::global().counter("trace.dropped.spans");
   const std::uint64_t before = trace_dropped.value();
-  FlightRecorder flight;
+  TraceRecorder flight(TraceRecorder::FlightRing{});
   const SpanRecord span =
       make_span(new_root_context(), "flight.drop", "client", 0.0, 1.0);
   flight.set_budget(approx_span_bytes(span) * 2);
-  for (int i = 0; i < 10; ++i) flight.record(span);
-  EXPECT_GE(flight.dropped(), 8u);
+  for (int i = 0; i < 10; ++i) flight.record_span(span);
+  EXPECT_GE(flight.dropped_spans(), 8u);
   EXPECT_EQ(trace_dropped.value(), before);
 }
 
 TEST(FlightRecorder, FlightBudgetEnvOverridesDefaultBudget) {
   ::setenv("PROXYSTORE_FLIGHT_BUDGET", "12345", /*overwrite=*/1);
-  const FlightRecorder budgeted;
+  const TraceRecorder budgeted(TraceRecorder::FlightRing{});
   EXPECT_EQ(budgeted.budget(), 12345u);
   // Garbage and zero fall back to the default.
   ::setenv("PROXYSTORE_FLIGHT_BUDGET", "0", 1);
-  const FlightRecorder zero;
-  EXPECT_EQ(zero.budget(), FlightRecorder::kDefaultBudgetBytes);
+  const TraceRecorder zero(TraceRecorder::FlightRing{});
+  EXPECT_EQ(zero.budget(), TraceRecorder::kDefaultFlightBudget);
   ::setenv("PROXYSTORE_FLIGHT_BUDGET", "junk", 1);
-  const FlightRecorder junk;
-  EXPECT_EQ(junk.budget(), FlightRecorder::kDefaultBudgetBytes);
+  const TraceRecorder junk(TraceRecorder::FlightRing{});
+  EXPECT_EQ(junk.budget(), TraceRecorder::kDefaultFlightBudget);
   ::unsetenv("PROXYSTORE_FLIGHT_BUDGET");
 }
 

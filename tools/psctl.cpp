@@ -372,7 +372,8 @@ int cmd_flight_dump(testbed::Testbed& tb, const std::string& path) {
   }
   std::printf("flight dump: %zu spans (%zu dropped by budget) to %s\n",
               snap.spans.size(),
-              static_cast<std::size_t>(obs::FlightRecorder::global().dropped()),
+              static_cast<std::size_t>(
+                  obs::TraceRecorder::flight().dropped_spans()),
               path.c_str());
   std::printf("open in https://ui.perfetto.dev or chrome://tracing\n");
   return 0;
@@ -481,11 +482,13 @@ int cmd_bench_diff(const std::string& base_path, const std::string& cand_path,
                 delta.name.c_str(), delta.base_mean_s, delta.cand_mean_s,
                 100.0 * delta.rel_delta);
   }
-  for (const obs::SloResult& slo : result.slo_breaches) {
+  for (const obs::SloVerdict& slo : result.slo_breaches) {
+    const obs::SloObjective& objective = slo.objective;
     std::printf("  slo breach %-44s %s(%s) observed=%.9g target=%.9g "
                 "(%llu samples)\n",
-                slo.name.c_str(), slo.percentile.c_str(), slo.metric.c_str(),
-                slo.observed_s, slo.threshold_s,
+                objective.name.c_str(), objective.percentile.c_str(),
+                objective.metric.c_str(), slo.observed_s,
+                objective.threshold_s,
                 static_cast<unsigned long long>(slo.samples));
   }
   std::printf("%s\n", result.summary.c_str());
