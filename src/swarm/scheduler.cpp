@@ -37,12 +37,6 @@ void count(const obs::SiteCounter& counter, std::uint64_t n = 1) {
   if (obs::enabled()) counter.get().inc(n);
 }
 
-/// By name, for the per-source series ("swarm.source.<name>.*"): they are
-/// named at run time and recorded once per chunk batch.
-void count(const std::string& name, std::uint64_t n = 1) {
-  if (obs::enabled()) obs::MetricsRegistry::ambient().counter(name).inc(n);
-}
-
 /// Optimistic service-rate prior (1 GB/s) for sources with no measured
 /// wave yet. Assignment cost is start + rate * (queued + size); with a
 /// zero rate the queue term vanishes and every first-wave chunk would
@@ -63,9 +57,10 @@ ChunkScheduler::ChunkScheduler(const std::vector<Backend>& backends,
       options_(options),
       executor_(executor),
       subject_(std::move(subject)) {
-  sources_.resize(backends_.size());
-  for (SourceState& source : sources_) {
-    source.has.assign(manifest_.chunks.size(), false);
+  sources_.reserve(backends_.size());
+  for (const Backend& backend : backends_) {
+    sources_.emplace_back(backend.name);
+    sources_.back().has.assign(manifest_.chunks.size(), false);
   }
   // Optimistic availability: the manifest's holder map is the truth until a
   // fetch contradicts it (then discover() probes the real replica map).
@@ -340,7 +335,7 @@ void ChunkScheduler::run_wave(
     if (timed_out) {
       src.slow = true;
       count(series().source_timeouts);
-      count("swarm.source." + backends_[b].name + ".timeouts");
+      count(src.timeouts);
     }
     src.frontier_vtime = std::max(src.frontier_vtime, slot.end_vtime);
     if (!timed_out && !src.slow && slot.bytes > 0) {
@@ -377,8 +372,8 @@ void ChunkScheduler::run_wave(
           max_accept_vtime_ = std::max(max_accept_vtime_, slot.end_vtime);
           count(series().verified);
           if (timed_out) count(series().accepted_late);
-          count("swarm.source." + backends_[b].name + ".chunks");
-          count("swarm.source." + backends_[b].name + ".bytes", ref.size);
+          count(src.chunks);
+          count(src.bytes, ref.size);
           if (obs::enabled()) {
             series().chunk_vtime.get().observe(
                 per_byte * static_cast<double>(ref.size));

@@ -40,6 +40,7 @@
 #include "common/bytes.hpp"
 #include "core/async.hpp"
 #include "core/connector.hpp"
+#include "obs/metrics.hpp"
 #include "swarm/manifest.hpp"
 
 namespace ps::swarm {
@@ -99,6 +100,15 @@ class ChunkScheduler {
   };
 
   struct SourceState {
+    explicit SourceState(const std::string& name)
+        : timeouts("swarm.source." + name + ".timeouts"),
+          chunks("swarm.source." + name + ".chunks"),
+          bytes("swarm.source." + name + ".bytes") {}
+
+    // Per-source series, resolved once per resolve rather than per record.
+    obs::SiteCounter timeouts;
+    obs::SiteCounter chunks;   // verified chunks accepted from this source
+    obs::SiteCounter bytes;    // their payload bytes
     double frontier_vtime = 0.0;   // pipeline frontier: last wave's end
     double est_s_per_byte = 0.0;   // EWMA of observed service rate
     bool alive = true;             // false after a thrown backend op
