@@ -152,17 +152,21 @@ namespace {
 
 // Runs `op` (which advances the caller's clock through the endpoint legs)
 // with the caller's clock saved/restored, and stamps the returned future at
-// the exchange's completion vtime. Same virtual cost as parking the sync op
-// on the AsyncExecutor — the worker there is seeded with the submitter's
-// clock — but no worker is occupied while the request is outstanding.
+// the exchange's completion vtime; an error thrown by `op` fails the future
+// instead, stamped when it was thrown. Same virtual cost and failure mode as
+// parking the sync op on the AsyncExecutor — the worker there is seeded
+// with the submitter's clock — but no worker is occupied while the request
+// is outstanding.
 template <typename T, typename Op>
 core::Future<T> inline_async(Op&& op) {
   const double issue = sim::vnow();
-  T value = op();
-  const double done = sim::vnow();
-  sim::vset(issue);
   core::Promise<T> promise;
-  core::complete_at(promise, std::move(value), done);
+  try {
+    promise.set_value(op());
+  } catch (...) {
+    promise.set_error(std::current_exception());
+  }
+  sim::vset(issue);
   return promise.future();
 }
 

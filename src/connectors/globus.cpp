@@ -117,10 +117,12 @@ bool GlobusConnector::exists(const core::Key& key) {
 }
 
 void GlobusConnector::evict(const core::Key& key) {
-  // Evict everywhere we can see (local endpoint view).
-  const GlobusEndpointSpec& local = local_endpoint();
+  // Transfers copy the file into every destination when submitted, so each
+  // endpoint's directory holds a copy to remove.
   std::error_code ec;
-  fs::remove(service_->endpoint_dir(local.endpoint) / key.object_id, ec);
+  for (const GlobusEndpointSpec& spec : endpoints_) {
+    fs::remove(service_->endpoint_dir(spec.endpoint) / key.object_id, ec);
+  }
 }
 
 namespace {

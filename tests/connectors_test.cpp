@@ -310,6 +310,50 @@ INSTANTIATE_TEST_SUITE_P(
 // Connector-specific behaviour.
 // ---------------------------------------------------------------------------
 
+TEST(GlobusConnector, EvictRemovesEveryEndpointsCopy) {
+  ConnectorEnv env;
+  env.world->fabric().add_host("remote", "site");
+  proc::Process& remote = env.world->spawn("remote-proc", "remote");
+  const fs::path base = env.scratch_dir("ps_globus_evict_");
+  core::Key key;
+  std::shared_ptr<GlobusConnector> connector;
+  {
+    proc::ProcessScope scope(*env.process);
+    auto service = globus::TransferService::start(*env.world);
+    const Uuid a = service->register_endpoint("host", base / "a");
+    const Uuid b = service->register_endpoint("remote", base / "b");
+    connector = std::make_shared<GlobusConnector>(
+        std::vector<GlobusEndpointSpec>{{"^host$", a}, {"^remote$", b}});
+    key = connector->put(Bytes("payload"));
+  }
+  ASSERT_TRUE(fs::exists(base / "a" / key.object_id));
+  ASSERT_TRUE(fs::exists(base / "b" / key.object_id));
+
+  // Evicting on the other endpoint's host removes both copies.
+  proc::ProcessScope scope(remote);
+  connector->evict(key);
+  EXPECT_FALSE(fs::exists(base / "a" / key.object_id));
+  EXPECT_FALSE(fs::exists(base / "b" / key.object_id));
+}
+
+TEST(EndpointConnector, FailedAsyncGetFailsTheFutureAndKeepsTheClock) {
+  ConnectorEnv env;
+  proc::ProcessScope scope(*env.process);
+  relay::RelayServer::start(*env.world, "host", "async-relay");
+  const auto ep = endpoint::Endpoint::start(*env.world, "host", "async-ep",
+                                            "relay://host/async-relay");
+  EndpointConnector connector({"psep://host/async-ep"});
+  core::Key key = connector.put(Bytes("payload"));
+  // A key naming an endpoint nobody registered: the exchange throws.
+  key.meta["endpoint_id"] = Uuid::random().str();
+
+  sim::VtimeGuard guard;
+  const double before = sim::vnow();
+  core::Future<std::optional<Bytes>> future = connector.get_async(key);
+  EXPECT_EQ(sim::vnow(), before);
+  EXPECT_THROW(future.get(), Error);
+}
+
 TEST(FileConnector, PersistsAcrossInstances) {
   ConnectorEnv env;
   proc::ProcessScope scope(*env.process);
