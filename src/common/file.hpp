@@ -1,7 +1,10 @@
-// Checked file writes for the disk-backed substrates (file, Globus, IPFS).
+// Checked file writes for the disk-backed substrates (file, Globus, IPFS,
+// the endpoint's disk spill and the kv server's AOF).
 #pragma once
 
 #include <filesystem>
+#include <iosfwd>
+#include <string>
 
 #include "common/bytes.hpp"
 
@@ -11,5 +14,9 @@ namespace ps {
 /// ConnectorError when the file cannot be opened or when not every byte
 /// reaches it (a full device), so a caller never stores a truncated object.
 void write_file(const std::filesystem::path& path, BytesView data);
+
+/// Writes `data` to `out` and flushes it. Throws ConnectorError ("short
+/// write to <what>") when not every byte reaches the device behind `out`.
+void write_all(std::ostream& out, BytesView data, const std::string& what);
 
 }  // namespace ps

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
@@ -284,12 +285,7 @@ void Endpoint::store_object(const std::string& object_id, Bytes data) {
     return;
   }
   // Spill to disk.
-  const fs::path path = spill_path(object_id);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw ProtocolError("Endpoint: cannot spill to " + path.string());
-  }
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  write_file(spill_path(object_id), data);
   spilled_objects_[object_id] = data.size();
 }
 

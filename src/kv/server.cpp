@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "serde/serde.hpp"
 
 namespace ps::kv {
@@ -49,9 +50,7 @@ void KvServer::append_aof(const std::string& op, const std::string& key,
   w.write_blob(op);
   w.write_blob(key);
   w.write_blob(value);
-  const Bytes record = w.take();
-  aof_->write(record.data(), static_cast<std::streamsize>(record.size()));
-  aof_->flush();
+  write_all(*aof_, w.take(), "AOF " + options_.aof_path.string());
 }
 
 void KvServer::replay_aof() {

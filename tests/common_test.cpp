@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -92,6 +93,17 @@ TEST(WriteFile, ThrowsOnAShortWrite) {
   EXPECT_THROW(write_file("/dev/full", "x"), ConnectorError);
   EXPECT_THROW(write_file("/dev/full", pattern_bytes(1 << 20)),
                ConnectorError);
+}
+
+TEST(WriteAll, ThrowsWhenTheStreamCannotTakeEveryByte) {
+  std::ostringstream ok;
+  write_all(ok, "abc", "memory");
+  EXPECT_EQ(ok.str(), "abc");
+
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::ofstream full("/dev/full", std::ios::binary);
+  ASSERT_TRUE(full);
+  EXPECT_THROW(write_all(full, "x", "/dev/full"), ConnectorError);
 }
 
 TEST(WriteFile, ThrowsWhenThePathCannotBeOpened) {
