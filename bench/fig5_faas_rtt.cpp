@@ -101,6 +101,17 @@ struct Method {
 };
 
 struct Scenario {
+  /// Removes the scenario's scratch directory (file, Globus and IPFS
+  /// stores). Declared first, so it runs after every service has stopped.
+  struct ScratchDir {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("ps_fig5_" + Uuid::random().str());
+    ~ScratchDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } scratch;
   std::string name;
   testbed::Testbed tb;
   proc::Process* client = nullptr;
@@ -171,9 +182,7 @@ std::unique_ptr<Scenario> make_scenario(const std::string& name,
         }});
   };
 
-  namespace fs = std::filesystem;
-  const fs::path base =
-      fs::temp_directory_path() / ("ps_fig5_" + Uuid::random().str());
+  const std::filesystem::path& base = s->scratch.path;
 
   if (intra_site) {
     proc::ProcessScope scope(*s->client);
