@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full local CI pass:
-#   0. lint: no MetricsRegistry::ambient() under src/core, src/kv or
-#      src/net — the path perfbench measures records through
-#      obs::SiteMetric handles, never a by-name registry lookup per op;
-#   1. tier-1: configure + build + the complete ctest suite;
+#   0. lint: no MetricsRegistry::ambient() in code under src/ outside
+#      src/obs — per-op sites record through obs::SiteMetric handles,
+#      never a by-name registry lookup per op (comment lines are skipped);
+#   1. tier-1: configure + build + the complete ctest suite, run with a
+#      fresh TMPDIR that must be empty afterwards (tests release what they
+#      write);
 #   2. tier-2: TSan build (-DPS_SANITIZE=thread) running the
 #      concurrency-sensitive tests (`ctest -L tier2`), then an ASan+UBSan
 #      build (-DPS_SANITIZE=address,undefined) running the complete ctest
@@ -61,8 +63,11 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 SKIP_TSAN=0
 [[ "${1:-}" == "--skip-tsan" ]] && SKIP_TSAN=1
 
-echo "==> lint: no by-name ambient registry lookups on the perfbench path"
-if grep -rn 'MetricsRegistry::ambient()' src/core src/kv src/net; then
+echo "==> lint: no by-name ambient registry lookups outside src/obs"
+AMBIENT="$(grep -rn 'MetricsRegistry::ambient()' src --exclude-dir=obs |
+  grep -vE '^[^:]+:[0-9]+: *//' || true)"
+if [[ -n "${AMBIENT}" ]]; then
+  echo "${AMBIENT}"
   echo "lint: record through an obs::SiteMetric handle (obs/metrics.hpp)" >&2
   exit 1
 fi
@@ -70,7 +75,14 @@ fi
 echo "==> tier-1: build + full test suite"
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
-(cd build && ctest --output-on-failure -j "${JOBS}")
+CTEST_TMP="$(mktemp -d -t ps-ci-ctest-XXXXXX)"
+(cd build && TMPDIR="${CTEST_TMP}" ctest --output-on-failure -j "${JOBS}")
+if [[ -n "$(ls -A "${CTEST_TMP}")" ]]; then
+  echo "tier-1: tests left files in their TMPDIR:" >&2
+  ls -A "${CTEST_TMP}" >&2
+  exit 1
+fi
+rmdir "${CTEST_TMP}"
 
 if [[ "${SKIP_TSAN}" == "0" ]]; then
   echo "==> tier-2: ThreadSanitizer build + concurrency suite"
