@@ -1,7 +1,6 @@
 #include "obs/export.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -145,10 +144,7 @@ std::string perfetto_trace_json(const std::vector<SpanRecord>& spans) {
 }
 
 bool write_perfetto_trace(const std::string& path) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return false;
-  file << perfetto_trace_json(TraceRecorder::global());
-  return static_cast<bool>(file);
+  return write_text_file(path, perfetto_trace_json(TraceRecorder::global()));
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #include "obs/flight.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "obs/export.hpp"
@@ -70,10 +69,7 @@ std::string FlightRecorder::dump_json(const Snapshot& snap) {
 }
 
 bool FlightRecorder::dump(const std::string& path, const Snapshot& snap) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return false;
-  file << dump_json(snap);
-  return static_cast<bool>(file);
+  return write_text_file(path, dump_json(snap));
 }
 
 void FlightRecorder::clear() {

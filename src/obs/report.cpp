@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "obs/critical.hpp"
@@ -76,9 +77,10 @@ BenchArtifact collect_bench_artifact(
   const MetricsRegistry& registry = MetricsRegistry::global();
   // Built lazily on the first series that actually has an exemplar; the
   // flight ring is the fallback when the exemplar's trace already rolled
-  // out of the (larger but clearable) TraceRecorder.
-  std::optional<CriticalPath> recorded_paths;
-  std::optional<CriticalPath> flight_paths;
+  // out of the (larger but clearable) global recorder.
+  const TraceRecorder* recorders[] = {&TraceRecorder::global(),
+                                      &TraceRecorder::flight()};
+  std::optional<CriticalPath> paths[std::size(recorders)];
   for (const auto& [name, meta] : series_meta) {
     const Histogram* hist = registry.find_histogram(name);
     if (hist == nullptr || hist->count() == 0) continue;
@@ -96,20 +98,13 @@ BenchArtifact collect_bench_artifact(
     stats.kind = meta.kind;
     const Exemplar exemplar = hist->max_exemplar();
     if (exemplar.valid()) {
-      if (!recorded_paths) {
-        recorded_paths = CriticalPath::from_recorder(TraceRecorder::global());
-      }
       // Only a trace *root* explains the whole measured sample; an inner
       // hop's subtree would under-account and fail the 5% sum check.
-      std::optional<CriticalPathReport> path = recorded_paths->for_span(
-          exemplar.trace_hi, exemplar.trace_lo, exemplar.span_id,
-          /*require_root=*/true);
-      if (!path) {
-        if (!flight_paths) {
-          flight_paths = CriticalPath::from_recorder(TraceRecorder::flight());
-        }
-        path = flight_paths->for_span(exemplar.trace_hi, exemplar.trace_lo,
-                                      exemplar.span_id, /*require_root=*/true);
+      std::optional<CriticalPathReport> path;
+      for (std::size_t i = 0; i < std::size(recorders) && !path; ++i) {
+        if (!paths[i]) paths[i] = CriticalPath::from_recorder(*recorders[i]);
+        path = paths[i]->for_span(exemplar.trace_hi, exemplar.trace_lo,
+                                  exemplar.span_id, /*require_root=*/true);
       }
       if (path) {
         SeriesAttribution attribution;
@@ -198,10 +193,7 @@ std::string bench_artifact_json(const BenchArtifact& artifact) {
 
 bool write_bench_artifact(const std::string& path,
                           const BenchArtifact& artifact) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return false;
-  file << bench_artifact_json(artifact);
-  return static_cast<bool>(file);
+  return write_text_file(path, bench_artifact_json(artifact));
 }
 
 std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,

@@ -4,29 +4,14 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <fstream>
 
 namespace ps::obs {
 
 namespace {
 
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  std::optional<JsonValue> parse(std::string* error) {
-    std::optional<JsonValue> value = parse_value();
-    skip_ws();
-    if (!value || pos_ != text_.size()) {
-      if (error != nullptr) {
-        *error = error_.empty() ? "trailing content after JSON value"
-                                : error_;
-      }
-      return std::nullopt;
-    }
-    return value;
-  }
-
- private:
+/// Recursive descent over one document; parse_json drives it.
+struct JsonReader {
   void fail(const std::string& what) {
     if (error_.empty()) {
       error_ = what + " at offset " + std::to_string(pos_);
@@ -161,14 +146,29 @@ class JsonReader {
 
   const std::string& text_;
   std::size_t pos_ = 0;
-  std::string error_;
+  std::string error_{};
 };
 
 }  // namespace
 
 std::optional<JsonValue> parse_json(const std::string& text,
                                     std::string* error) {
-  return JsonReader(text).parse(error);
+  JsonReader reader{text};
+  std::optional<JsonValue> value = reader.parse_value();
+  reader.skip_ws();
+  if (value && reader.pos_ == text.size()) return value;
+  if (error != nullptr) {
+    *error = reader.error_.empty() ? "trailing content after JSON value"
+                                   : reader.error_;
+  }
+  return std::nullopt;
+}
+
+bool write_text_file(const std::string& path, const std::string& text) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file << text;
+  file.close();  // a full device may fail only on the final flush
+  return static_cast<bool>(file);
 }
 
 void json_escape_into(std::string& out, const std::string& s) {

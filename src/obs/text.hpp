@@ -46,6 +46,9 @@ struct JsonValue {
 std::optional<JsonValue> parse_json(const std::string& text,
                                     std::string* error);
 
+/// Writes `text` to `path` (replacing it); false unless every byte lands.
+bool write_text_file(const std::string& path, const std::string& text);
+
 /// Appends `{"<key>":<value>,...}` over a name-keyed map, keys escaped;
 /// `append_value(v)` appends one value.
 template <typename Map, typename AppendValue>

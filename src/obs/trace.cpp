@@ -72,22 +72,22 @@ std::size_t TraceRecorder::trim_spans() {
   return dropped;
 }
 
-void TraceRecorder::note_dropped_events(std::size_t n) {
-  if (n == 0) return;
-  dropped_events_.fetch_add(n, std::memory_order_relaxed);
-  // Lazily resolved once: registry references stay valid for process life.
-  static Counter& counter =
-      MetricsRegistry::global().counter("trace.dropped.events");
-  counter.inc(n);
-}
-
-void TraceRecorder::note_dropped_spans(std::size_t n) {
-  if (n == 0) return;
-  dropped_spans_.fetch_add(n, std::memory_order_relaxed);
+void TraceRecorder::note_dropped(std::size_t events, std::size_t spans) {
+  if (events + spans == 0) return;
+  dropped_events_.fetch_add(events, std::memory_order_relaxed);
+  dropped_spans_.fetch_add(spans, std::memory_order_relaxed);
   if (flight_ring_) return;
-  static Counter& counter =
-      MetricsRegistry::global().counter("trace.dropped.spans");
-  counter.inc(n);
+  // Lazily resolved once: registry references stay valid for process life.
+  if (events > 0) {
+    static Counter& counter =
+        MetricsRegistry::global().counter("trace.dropped.events");
+    counter.inc(events);
+  }
+  if (spans > 0) {
+    static Counter& counter =
+        MetricsRegistry::global().counter("trace.dropped.spans");
+    counter.inc(spans);
+  }
 }
 
 void TraceRecorder::record(const std::string& subject,
@@ -105,7 +105,7 @@ void TraceRecorder::record(const std::string& subject,
     events_.push_back(std::move(e));
     dropped = trim_to(events_, capacity_);
   }
-  note_dropped_events(dropped);
+  note_dropped(dropped, 0);
 }
 
 void TraceRecorder::record_span(SpanRecord span) {
@@ -121,7 +121,7 @@ void TraceRecorder::record_span(SpanRecord span) {
     span_bytes_ += cost;
     dropped = trim_spans();
   }
-  note_dropped_spans(dropped);
+  note_dropped(0, dropped);
 }
 
 std::vector<TraceEvent> TraceRecorder::timeline(
@@ -170,8 +170,7 @@ void TraceRecorder::set_capacity(std::size_t capacity) {
     dropped_events = trim_to(events_, capacity_);
     dropped_spans = trim_spans();
   }
-  note_dropped_events(dropped_events);
-  note_dropped_spans(dropped_spans);
+  note_dropped(dropped_events, dropped_spans);
 }
 
 std::size_t TraceRecorder::capacity() const {
@@ -186,7 +185,7 @@ void TraceRecorder::set_budget(std::size_t budget_bytes) {
     budget_ = budget_bytes == 0 ? 1 : budget_bytes;
     dropped = trim_spans();
   }
-  note_dropped_spans(dropped);
+  note_dropped(0, dropped);
 }
 
 std::size_t TraceRecorder::budget() const {

@@ -157,8 +157,7 @@ class TraceRecorder {
  private:
   /// With mu_ held: evicts spans per record_span; returns how many went.
   std::size_t trim_spans();
-  void note_dropped_events(std::size_t n);
-  void note_dropped_spans(std::size_t n);
+  void note_dropped(std::size_t events, std::size_t spans);
 
   const bool flight_ring_ = false;
   std::atomic<bool> enabled_{false};
