@@ -18,10 +18,9 @@ namespace ps::obs {
 
 namespace {
 
-/// Sets `*error` (when non-null) to `what` and rejects the artifact.
-std::nullopt_t reject(std::string* error, const std::string& what) {
+bool schema_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
-  return std::nullopt;
+  return false;
 }
 
 double num_or(const JsonValue::Object& obj, const std::string& key,
@@ -201,48 +200,56 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
   std::optional<JsonValue> root = parse_json(text, error);
   if (!root) return std::nullopt;
   if (!root->is_object()) {
-    return reject(error, "artifact is not a JSON object");
+    schema_error(error, "artifact is not a JSON object");
+    return std::nullopt;
   }
   const auto& obj = root->obj();
   const auto version = obj.find("schema_version");
   if (version == obj.end() || !version->second.is_number()) {
-    return reject(error, "missing schema_version");
+    schema_error(error, "missing schema_version");
+    return std::nullopt;
   }
   BenchArtifact artifact;
   artifact.schema_version = static_cast<int>(version->second.num());
   // Only the current schema parses: older artifacts must be re-blessed,
   // newer ones come from a build this one cannot judge.
   if (artifact.schema_version != kBenchSchemaVersion) {
-    return reject(error, "unsupported schema_version " +
-                         std::to_string(artifact.schema_version));
+    schema_error(error, "unsupported schema_version " +
+                            std::to_string(artifact.schema_version));
+    return std::nullopt;
   }
   const auto bench = obj.find("bench");
   if (bench == obj.end() || !bench->second.is_string() ||
       bench->second.str().empty()) {
-    return reject(error, "missing bench name");
+    schema_error(error, "missing bench name");
+    return std::nullopt;
   }
   artifact.bench = bench->second.str();
   const auto seed = obj.find("seed");
   if (seed == obj.end() || !seed->second.is_number()) {
-    return reject(error, "missing seed");
+    schema_error(error, "missing seed");
+    return std::nullopt;
   }
   artifact.seed = static_cast<std::uint64_t>(seed->second.num());
   artifact.git_rev = str_or(obj, "git_rev", "unknown");
 
   const auto series = obj.find("series");
   if (series == obj.end() || !series->second.is_object()) {
-    return reject(error, "missing series object");
+    schema_error(error, "missing series object");
+    return std::nullopt;
   }
   for (const auto& [name, value] : series->second.obj()) {
     if (!value.is_object()) {
-      return reject(error, "series '" + name + "' is not an object");
+      schema_error(error, "series '" + name + "' is not an object");
+      return std::nullopt;
     }
     const auto& s = value.obj();
     const auto count = s.find("count");
     const auto mean = s.find("mean_s");
     if (count == s.end() || !count->second.is_number() || mean == s.end() ||
         !mean->second.is_number()) {
-      return reject(error, "series '" + name + "' missing count/mean_s");
+      schema_error(error, "series '" + name + "' missing count/mean_s");
+      return std::nullopt;
     }
     SeriesStats stats;
     stats.count = static_cast<std::uint64_t>(count->second.num());
@@ -256,16 +263,18 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
     stats.units = str_or(s, "units", "s");
     stats.kind = str_or(s, "kind", "vtime");
     if (stats.kind != "vtime" && stats.kind != "wall") {
-      return reject(error, "series '" + name + "' has unknown kind '" +
-                           stats.kind + "'");
+      schema_error(error, "series '" + name + "' has unknown kind '" +
+                              stats.kind + "'");
+      return std::nullopt;
     }
     // Optional attribution: validated when present, never required —
     // exemplar-free series simply lack it.
     const auto attribution = s.find("attribution");
     if (attribution != s.end()) {
       if (!attribution->second.is_object()) {
-        return reject(error,
-                      "series '" + name + "' attribution is not an object");
+        schema_error(error,
+                     "series '" + name + "' attribution is not an object");
+        return std::nullopt;
       }
       const auto& a = attribution->second.obj();
       SeriesAttribution attr;
@@ -276,21 +285,24 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
       const auto segments = a.find("segments");
       if (attr.trace_id.size() != 32 || segments == a.end() ||
           !segments->second.is_array() || segments->second.arr().empty()) {
-        return reject(error, "series '" + name +
-                             "' attribution needs a 32-hex trace_id and "
-                             "a non-empty segments array");
+        schema_error(error, "series '" + name +
+                                "' attribution needs a 32-hex trace_id and "
+                                "a non-empty segments array");
+        return std::nullopt;
       }
       for (const JsonValue& value : segments->second.arr()) {
         if (!value.is_object()) {
-          return reject(error,
-                        "series '" + name + "' has a non-object segment");
+          schema_error(error,
+                       "series '" + name + "' has a non-object segment");
+          return std::nullopt;
         }
         const auto& seg = value.obj();
         SegmentShare share;
         share.segment = str_or(seg, "segment", "");
         if (share.segment.empty()) {
-          return reject(error,
-                        "series '" + name + "' has a segment without a name");
+          schema_error(error,
+                       "series '" + name + "' has a segment without a name");
+          return std::nullopt;
         }
         share.vtime_s = num_or(seg, "vtime_s", 0.0);
         share.spans = static_cast<std::uint64_t>(num_or(seg, "spans", 0.0));
@@ -303,11 +315,13 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
 
   const auto slos = obj.find("slos");
   if (slos == obj.end() || !slos->second.is_array()) {
-    return reject(error, "missing slos array");
+    schema_error(error, "missing slos array");
+    return std::nullopt;
   }
   for (const JsonValue& value : slos->second.arr()) {
     if (!value.is_object()) {
-      return reject(error, "slos entry is not an object");
+      schema_error(error, "slos entry is not an object");
+      return std::nullopt;
     }
     const auto& s = value.obj();
     SloVerdict verdict;
@@ -316,13 +330,15 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
     objective.metric = str_or(s, "metric", "");
     objective.percentile = str_or(s, "percentile", "");
     if (objective.name.empty() || objective.metric.empty()) {
-      return reject(error, "slos entry missing name/metric");
+      schema_error(error, "slos entry missing name/metric");
+      return std::nullopt;
     }
     const std::string status = str_or(s, "status", "");
     const std::optional<SloStatus> parsed = parse_slo_status(status);
     if (!parsed) {
-      return reject(error, "slo '" + objective.name +
-                           "' has unknown status '" + status + "'");
+      schema_error(error, "slo '" + objective.name +
+                              "' has unknown status '" + status + "'");
+      return std::nullopt;
     }
     verdict.status = *parsed;
     objective.threshold_s = num_or(s, "threshold_s", 0.0);
@@ -335,17 +351,20 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
 
   const auto profile = obj.find("profile_top");
   if (profile == obj.end() || !profile->second.is_array()) {
-    return reject(error, "missing profile_top array");
+    schema_error(error, "missing profile_top array");
+    return std::nullopt;
   }
   for (const JsonValue& value : profile->second.arr()) {
     if (!value.is_object()) {
-      return reject(error, "profile_top entry is not an object");
+      schema_error(error, "profile_top entry is not an object");
+      return std::nullopt;
     }
     const auto& p = value.obj();
     ProfileEntry entry;
     entry.path = str_or(p, "path", "");
     if (entry.path.empty()) {
-      return reject(error, "profile_top entry missing path");
+      schema_error(error, "profile_top entry missing path");
+      return std::nullopt;
     }
     entry.count = static_cast<std::uint64_t>(num_or(p, "count", 0.0));
     entry.total_vtime_s = num_or(p, "total_vtime_s", 0.0);

@@ -1,6 +1,5 @@
 #include "obs/slo.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <iterator>
 
@@ -59,15 +58,19 @@ std::optional<SloStatus> parse_slo_status(const std::string& text) {
 }
 
 std::size_t SloReport::breaches() const {
-  return std::count_if(verdicts.begin(), verdicts.end(), [](const auto& v) {
-    return v.status == SloStatus::kBreach;
-  });
+  std::size_t n = 0;
+  for (const SloVerdict& v : verdicts) {
+    if (v.status == SloStatus::kBreach) ++n;
+  }
+  return n;
 }
 
 std::size_t SloReport::insufficient() const {
-  return std::count_if(verdicts.begin(), verdicts.end(), [](const auto& v) {
-    return v.status == SloStatus::kInsufficientData;
-  });
+  std::size_t n = 0;
+  for (const SloVerdict& v : verdicts) {
+    if (v.status == SloStatus::kInsufficientData) ++n;
+  }
+  return n;
 }
 
 std::string SloReport::table() const {
